@@ -541,6 +541,20 @@ let run ?(quick = false) ?domains ?(clear_cache = false)
             matrix));
     exit 1
   end;
+  (* A fallback build is only legitimate where native kernels cannot be
+     built at all, or when a test pinned it; with a toolchain on the
+     PATH it means the setup is broken (library interfaces not found,
+     a failed compile or load), and every JIT number above is the
+     fallback's. *)
+  (match fallback_reason with
+   | Some r when Hw.Sim_jit.native_toolchain () && not !Hw.Sim_jit.force_fallback ->
+     Printf.eprintf
+       "FAIL perf: the jit kernel built in fallback mode (%s) although a \
+        native compiler is on the PATH\n\
+        %!"
+       r;
+     exit 1
+   | _ -> ());
   if expect_warm && (first_misses > 0 || not jit_native) then begin
     Printf.eprintf
       "FAIL perf --expect-warm: expected every JIT kernel to load from the \

@@ -65,8 +65,9 @@ let md5_run ?backend ?placement ?(watch_sites = false) ~kind ~blocks () =
   if watch_sites then
     List.iter
       (fun (s : Melastic.Placement.site) ->
-        Melastic.Profile.watch_channel ~occupancy:true profile
-          ~name:s.Melastic.Placement.s_name ~threads)
+        ignore
+          (Melastic.Profile.watch_channel ~occupancy:true profile
+             ~name:s.Melastic.Placement.s_name ~threads))
       Md5.Md5_circuit.retime_sites;
   let d =
     Workload.Mt_driver.create sim ~src:"msg" ~snk:"digest" ~threads
@@ -137,8 +138,9 @@ let cpu_run ?backend ?placement ?(watch_sites = false) ~kind ~iters () =
   if watch_sites then
     List.iter
       (fun (s : Melastic.Placement.site) ->
-        Melastic.Profile.watch_channel ~occupancy:true profile
-          ~name:s.Melastic.Placement.s_name ~threads)
+        ignore
+          (Melastic.Profile.watch_channel ~occupancy:true profile
+             ~name:s.Melastic.Placement.s_name ~threads))
       Cpu.Mt_pipeline.retime_sites;
   Cpu.Mt_pipeline.load_program sim t (Cpu.Asm.assemble_words (cpu_program iters));
   Hw.Sim.settle sim;

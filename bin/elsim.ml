@@ -341,12 +341,13 @@ let profile_md5 ~kind ~threads =
   let sim = Hw.Sim.create circuit in
   let profile = Melastic.Profile.attach (Hw.Sampler.attach sim) in
   List.iter
-    (fun n -> Melastic.Profile.watch_channel profile ~name:n ~threads)
+    (fun n -> ignore (Melastic.Profile.watch_channel profile ~name:n ~threads))
     [ "msg"; "digest"; "md5_dp"; "md5_bar_in" ];
   List.iter
     (fun (s : Melastic.Placement.site) ->
-      Melastic.Profile.watch_channel ~occupancy:true profile
-        ~name:s.Melastic.Placement.s_name ~threads)
+      ignore
+        (Melastic.Profile.watch_channel ~occupancy:true profile
+           ~name:s.Melastic.Placement.s_name ~threads))
     Md5.Md5_circuit.retime_sites;
   let d =
     Workload.Mt_driver.create sim ~src:"msg" ~snk:"digest" ~threads
@@ -376,12 +377,13 @@ let profile_cpu ~kind ~threads =
   let sim = Hw.Sim.create circuit in
   let profile = Melastic.Profile.attach (Hw.Sampler.attach sim) in
   List.iter
-    (fun n -> Melastic.Profile.watch_channel profile ~name:n ~threads)
+    (fun n -> ignore (Melastic.Profile.watch_channel profile ~name:n ~threads))
     [ "cpu_fetch"; "cpu_mem"; "cpu_wb" ];
   List.iter
     (fun (s : Melastic.Placement.site) ->
-      Melastic.Profile.watch_channel ~occupancy:true profile
-        ~name:s.Melastic.Placement.s_name ~threads)
+      ignore
+        (Melastic.Profile.watch_channel ~occupancy:true profile
+           ~name:s.Melastic.Placement.s_name ~threads))
     Cpu.Mt_pipeline.retime_sites;
   let program =
     "addi r1, r0, 16\n\
@@ -407,7 +409,7 @@ let profile_dataflow ~kind ~threads =
   let sim = Hw.Sim.create (Synth.Dataflow.circuit g) in
   let profile = Melastic.Profile.attach (Hw.Sampler.attach sim) in
   List.iter
-    (fun n -> Melastic.Profile.watch_channel profile ~name:n ~threads)
+    (fun n -> ignore (Melastic.Profile.watch_channel profile ~name:n ~threads))
     [ "x"; "y" ];
   let d = Workload.Mt_driver.create sim ~src:"x" ~snk:"y" ~threads ~width:16 in
   for t = 0 to threads - 1 do

@@ -29,27 +29,31 @@ type channel_stats = {
   mutable cs_stall_cycles : int;
   mutable cs_backpressure_cycles : int;
   mutable cs_idle_cycles : int;
-  cs_occupancy : H.t option;
+  mutable cs_occupancy : H.t option;
 }
 
-(* Which endpoint exports the channel actually has: hand-built test
-   netlists legally export a subset (a poked valid with no fire, a
-   fire/data pair with no ready), so the watcher records what resolved
-   and the per-cycle update computes only the statistics those signals
-   support (deriving fire = valid & ready when both exist). *)
-type chan = {
-  ch_stats : channel_stats;
-  ch_occ_signal : string option;
-  ch_has_valid : bool;
-  ch_has_ready : bool;
-  ch_has_fire : bool;
+(* A watched channel.  Hand-built test netlists legally export a
+   subset of the endpoints (a driven valid with no fire, a fire/data
+   pair with no ready), so a probe holds a handle for each endpoint
+   that resolved, and the per-cycle update computes only the
+   statistics those signals support (deriving fire = valid & ready
+   when both exist).  Loaded profiles have probes with no handles. *)
+type probe = {
+  pr_name : string;
+  pr_stats : channel_stats;
+  pr_threads_mask : int; (* the low [cs_threads] bits *)
+  pr_valid : Hw.Sampler.handle option;
+  pr_ready : Hw.Sampler.handle option;
+  pr_fire : Hw.Sampler.handle option;
+  mutable pr_data : Hw.Sampler.handle option;
+  mutable pr_occupancy : Hw.Sampler.handle option;
 }
 
 type t = {
   sampler : Hw.Sampler.t option;
   mutable cycles : int;
-  channels : (string, chan) Hashtbl.t;
-  mutable channel_order : string list; (* reversed *)
+  channels : (string, probe) Hashtbl.t;
+  mutable probes : probe array; (* watch (or load) order *)
   gauges : (string, H.t) Hashtbl.t;
   mutable gauge_order : string list; (* reversed *)
 }
@@ -59,7 +63,7 @@ let make sampler =
     sampler;
     cycles = 0;
     channels = Hashtbl.create 16;
-    channel_order = [];
+    probes = [||];
     gauges = Hashtbl.create 16;
     gauge_order = [];
   }
@@ -76,119 +80,135 @@ let require_sampler t =
 let sampler t = t.sampler
 let cycles t = t.cycles
 
-let update_channel s name ch =
-  let st = ch.ch_stats in
-  let v =
-    if ch.ch_has_valid then Some (Hw.Sampler.value s (Names.valid name)) else None
-  in
-  let r =
-    if ch.ch_has_ready then Some (Hw.Sampler.value s (Names.ready name)) else None
-  in
+let missing pr what =
+  invalid_arg (Printf.sprintf "Profile: channel %s has no %s" pr.pr_name what)
+
+let valid pr =
+  match pr.pr_valid with Some h -> Hw.Sampler.get_int h | None -> missing pr "valid"
+
+let ready pr =
+  match pr.pr_ready with Some h -> Hw.Sampler.get_int h | None -> missing pr "ready"
+
+let fire pr =
+  match pr.pr_fire with Some h -> Hw.Sampler.get_int h | None -> missing pr "fire"
+
+let data pr =
+  match pr.pr_data with
+  | Some h -> Hw.Sampler.get h
+  | None -> missing pr "watched data word (watch it with ~data:true)"
+
+let rec popcount n = if n = 0 then 0 else 1 + popcount (n land (n - 1))
+
+let update_probe pr =
+  let st = pr.pr_stats in
   let f =
-    if ch.ch_has_fire then Some (Hw.Sampler.value s (Names.fire name))
-    else
-      match (v, r) with
-      | Some v, Some r when Bits.width v = Bits.width r ->
-        Some (Bits.logand v r)
-      | _ -> None
+    match (pr.pr_fire, pr.pr_valid, pr.pr_ready) with
+    | Some f, _, _ -> Hw.Sampler.get_int f
+    | None, Some v, Some r -> Hw.Sampler.get_int v land Hw.Sampler.get_int r
+    | None, _, _ -> 0
   in
-  let nf = match f with Some f -> Bits.popcount f | None -> 0 in
-  (match f with
-  | Some f when nf > 0 ->
+  let nf = popcount f in
+  if nf > 0 then begin
     st.cs_fires <- st.cs_fires + nf;
     st.cs_active_cycles <- st.cs_active_cycles + 1;
-    for i = 0 to min (st.cs_threads - 1) (Bits.width f - 1) do
-      if Bits.bit f i then
+    let pf = f land pr.pr_threads_mask in
+    for i = 0 to st.cs_threads - 1 do
+      if pf land (1 lsl i) <> 0 then
         st.cs_fires_per_thread.(i) <- st.cs_fires_per_thread.(i) + 1
     done
-  | _ -> ());
-  (match v with
-  | Some v ->
-    if Bits.is_zero v then st.cs_idle_cycles <- st.cs_idle_cycles + 1
-    else if nf = 0 then st.cs_stall_cycles <- st.cs_stall_cycles + 1
+  end;
+  (match pr.pr_valid with
+  | Some h ->
+    let v = Hw.Sampler.get_int h in
+    if v = 0 then st.cs_idle_cycles <- st.cs_idle_cycles + 1
+    else if nf = 0 then st.cs_stall_cycles <- st.cs_stall_cycles + 1;
+    (match pr.pr_ready with
+    | Some r when v land lnot (Hw.Sampler.get_int r) land pr.pr_threads_mask <> 0 ->
+      st.cs_backpressure_cycles <- st.cs_backpressure_cycles + 1
+    | _ -> ())
   | None -> ());
-  (match (v, r) with
-  | Some v, Some r ->
-    let bp = ref false in
-    for i = 0 to min (min (st.cs_threads - 1) (Bits.width v - 1)) (Bits.width r - 1) do
-      if Bits.bit v i && not (Bits.bit r i) then bp := true
-    done;
-    if !bp then st.cs_backpressure_cycles <- st.cs_backpressure_cycles + 1
-  | _ -> ());
-  match (ch.ch_occ_signal, st.cs_occupancy) with
-  | Some sig_name, Some hist -> H.add hist (Hw.Sampler.value_int s sig_name)
+  match (pr.pr_occupancy, st.cs_occupancy) with
+  | Some h, Some hist -> H.add hist (Hw.Sampler.get_int h)
   | _ -> ()
 
 let attach s =
   let t = make (Some s) in
-  Hw.Sampler.on_sample s (fun s ->
+  Hw.Sampler.on_sample s (fun _ ->
       t.cycles <- t.cycles + 1;
-      List.iter
-        (fun name -> update_channel s name (Hashtbl.find t.channels name))
-        (List.rev t.channel_order));
+      let probes = t.probes in
+      for i = 0 to Array.length probes - 1 do
+        update_probe probes.(i)
+      done);
   t
+
+let add_probe t pr =
+  Hashtbl.add t.channels pr.pr_name pr;
+  t.probes <- Array.append t.probes [| pr |]
 
 let try_watch s name =
   match Hw.Sampler.watch s name with
-  | () -> true
-  | exception Hw.Sim_intf.Unknown_signal _ -> false
+  | h -> Some h
+  | exception Hw.Sim_intf.Unknown_signal _ -> None
+
+(* [data]/[occupancy] are explicit requests, so a missing export is an
+   eager error (with the backend's near-miss diagnostics), not a
+   silent degradation; both upgrade a channel watched without them. *)
+let request_extras ~data ~occupancy s pr =
+  if data && pr.pr_data = None then
+    pr.pr_data <- Some (Hw.Sampler.watch s (Names.data pr.pr_name));
+  if occupancy && pr.pr_occupancy = None then begin
+    pr.pr_occupancy <- Some (Hw.Sampler.watch s (Names.occupancy pr.pr_name));
+    pr.pr_stats.cs_occupancy <- Some (H.create ())
+  end
 
 let watch_channel ?(data = false) ?(occupancy = false) t ~name ~threads =
   let s = require_sampler t in
-  if not (Hashtbl.mem t.channels name) then begin
-    let has_valid = try_watch s (Names.valid name) in
-    let has_ready = try_watch s (Names.ready name) in
-    let has_fire = try_watch s (Names.fire name) in
-    (* [data]/[occupancy] are explicit requests, so a missing export is
-       an eager error (with the backend's near-miss diagnostics), not
-       a silent degradation. *)
-    if data then Hw.Sampler.watch s (Names.data name);
-    let occ_signal =
-      if occupancy then begin
-        let n = Names.occupancy name in
-        Hw.Sampler.watch s n;
-        Some n
-      end
-      else None
-    in
-    let stats =
-      {
-        cs_threads = threads;
-        cs_fires = 0;
-        cs_fires_per_thread = Array.make threads 0;
-        cs_active_cycles = 0;
-        cs_stall_cycles = 0;
-        cs_backpressure_cycles = 0;
-        cs_idle_cycles = 0;
-        cs_occupancy = (if occupancy then Some (H.create ()) else None);
-      }
-    in
-    Hashtbl.add t.channels name
-      { ch_stats = stats; ch_occ_signal = occ_signal; ch_has_valid = has_valid;
-        ch_has_ready = has_ready; ch_has_fire = has_fire };
-    t.channel_order <- name :: t.channel_order
-  end
-  else if data then
-    (* idempotent upgrade: a later watcher may also need the data word *)
-    Hw.Sampler.watch s (Names.data name)
+  let pr =
+    match Hashtbl.find_opt t.channels name with
+    | Some pr -> pr
+    | None ->
+      if threads > Bits.max_int_width then
+        invalid_arg
+          (Printf.sprintf
+             "Profile.watch_channel %s: %d threads (at most %d per channel)"
+             name threads Bits.max_int_width);
+      let pr =
+        { pr_name = name;
+          pr_stats =
+            { cs_threads = threads;
+              cs_fires = 0;
+              cs_fires_per_thread = Array.make threads 0;
+              cs_active_cycles = 0;
+              cs_stall_cycles = 0;
+              cs_backpressure_cycles = 0;
+              cs_idle_cycles = 0;
+              cs_occupancy = None };
+          pr_threads_mask = max_int lsr (Bits.max_int_width - threads);
+          pr_valid = try_watch s (Names.valid name);
+          pr_ready = try_watch s (Names.ready name);
+          pr_fire = try_watch s (Names.fire name);
+          pr_data = None;
+          pr_occupancy = None }
+      in
+      add_probe t pr;
+      pr
+  in
+  request_extras ~data ~occupancy s pr;
+  pr
 
 let on_sample t f =
   let s = require_sampler t in
   Hw.Sampler.on_sample s (fun _ -> f t)
 
 let cycle t = Hw.Sampler.cycle (require_sampler t)
-let cycle_valid t name = Hw.Sampler.value (require_sampler t) (Names.valid name)
-let cycle_ready t name = Hw.Sampler.value (require_sampler t) (Names.ready name)
-let cycle_fire t name = Hw.Sampler.value (require_sampler t) (Names.fire name)
-let cycle_data t name = Hw.Sampler.value (require_sampler t) (Names.data name)
 
 (* ---------- channel statistics ---------- *)
 
-let channel_names t = List.rev t.channel_order
+let channel_names t = Array.to_list (Array.map (fun pr -> pr.pr_name) t.probes)
 
 let channel t name =
   match Hashtbl.find_opt t.channels name with
-  | Some ch -> Some ch.ch_stats
+  | Some pr -> Some pr.pr_stats
   | None -> None
 
 let activity t cs =
@@ -245,9 +265,8 @@ let to_json t =
   let b = Buffer.create 4096 in
   Buffer.add_string b (Printf.sprintf "{\n  \"cycles\": %d,\n  \"channels\": [" t.cycles);
   let first = ref true in
-  List.iter
-    (fun name ->
-      let cs = (Hashtbl.find t.channels name).ch_stats in
+  Array.iter
+    (fun { pr_name = name; pr_stats = cs; _ } ->
       if not !first then Buffer.add_char b ',';
       first := false;
       let fpt =
@@ -262,7 +281,7 @@ let to_json t =
            (match cs.cs_occupancy with
            | Some h -> hist_to_json h
            | None -> "null")))
-    (channel_names t);
+    t.probes;
   Buffer.add_string b "\n  ],\n  \"gauges\": [";
   first := true;
   List.iter
@@ -459,10 +478,10 @@ let of_json str =
               cs_occupancy = j_hist (j_field "occupancy" c);
             }
           in
-          Hashtbl.add t.channels name
-            { ch_stats = stats; ch_occ_signal = None; ch_has_valid = false;
-              ch_has_ready = false; ch_has_fire = false };
-          t.channel_order <- name :: t.channel_order
+          add_probe t
+            { pr_name = name; pr_stats = stats; pr_threads_mask = 0;
+              pr_valid = None; pr_ready = None; pr_fire = None;
+              pr_data = None; pr_occupancy = None }
         | _ -> ())
       chans
   | _ -> ());

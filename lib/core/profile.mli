@@ -33,8 +33,12 @@ val sampler : t -> Hw.Sampler.t option
 
 (** {1 Hardware channels} *)
 
+type probe
+(** A watched channel: handles on its endpoint signals, resolved once
+    by {!watch_channel}. *)
+
 val watch_channel :
-  ?data:bool -> ?occupancy:bool -> t -> name:string -> threads:int -> unit
+  ?data:bool -> ?occupancy:bool -> t -> name:string -> threads:int -> probe
 (** Watch channel [name]'s [_valid]/[_ready]/[_fire] vectors.  A
     partially exported channel (hand-built netlists may lack a fire or
     ready) degrades gracefully: statistics are computed from whatever
@@ -43,20 +47,28 @@ val watch_channel :
     [occupancy] — the circuit must export it, e.g. via
     [Component.buffer ~export_occupancy:true]) are explicit requests
     and raise {!Hw.Sim_intf.Unknown_signal} eagerly when missing.
-    Idempotent per channel. *)
+    Watching a channel again returns the same probe, adding whichever
+    of [data] and [occupancy] the new request asks for (an occupancy
+    histogram added late counts from that cycle on).  Raises
+    [Invalid_argument] for more than {!Bits.max_int_width} threads:
+    per-thread vectors are sampled as ints. *)
 
 val on_sample : t -> (t -> unit) -> unit
 (** Register a per-cycle listener (after the profile's own counter
-    update).  Inside it, read the current cycle's values with the
-    [cycle_*] accessors below — this is how the protocol monitors
-    share the profile's sampling pass. *)
+    update).  Inside it, read the current cycle's values through the
+    probe accessors below — this is how the protocol monitors share
+    the profile's sampling pass. *)
 
 val cycle : t -> int
-val cycle_valid : t -> string -> Bits.t
-val cycle_ready : t -> string -> Bits.t
-val cycle_fire : t -> string -> Bits.t
 
-val cycle_data : t -> string -> Bits.t
+val valid : probe -> int
+(** This cycle's per-thread valid vector (bit [i] = thread [i]).
+    Raises [Invalid_argument] when the channel exports no valid. *)
+
+val ready : probe -> int
+val fire : probe -> int
+
+val data : probe -> Bits.t
 (** Valid only for channels watched with [~data:true]. *)
 
 (** {1 Channel statistics} *)
@@ -69,7 +81,7 @@ type channel_stats = {
   mutable cs_stall_cycles : int;  (** valid present, nothing fired *)
   mutable cs_backpressure_cycles : int;  (** some thread valid & !ready *)
   mutable cs_idle_cycles : int;  (** no thread valid *)
-  cs_occupancy : Histogram.t option;
+  mutable cs_occupancy : Histogram.t option;
 }
 
 val cycles : t -> int

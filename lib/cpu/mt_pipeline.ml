@@ -385,8 +385,9 @@ let load_program sim t words =
     words
 
 let run_until_halted sim ~limit =
+  let halted_all = Hw.Sim.port sim "halted_all" in
   let rec go n =
-    if Hw.Sim.peek_bool sim "halted_all" then Some n
+    if Hw.Sim.read_int sim halted_all <> 0 then Some n
     else if n >= limit then None
     else begin
       Hw.Sim.cycle sim;

@@ -168,11 +168,27 @@ let on_cycle ({ p = T ((module M), s); _ } as packed) f =
   (* Observers see the packed simulator, whatever the backend. *)
   M.on_cycle s (fun _ -> f packed)
 
-let poke { p = T ((module M), s); _ } name bits = M.poke s name bits
-let poke_int { p = T ((module M), s); _ } name n = M.poke_int s name n
-let peek { p = T ((module M), s); _ } name = M.peek s name
-let peek_int { p = T ((module M), s); _ } name = M.peek_int s name
-let peek_bool { p = T ((module M), s); _ } name = M.peek_bool s name
+type port = Sim_intf.port
+
+let port { p = T ((module M), s); _ } name = M.port s name
+let input_port { p = T ((module M), s); _ } name = M.input_port s name
+let port_width (p : port) = p.Sim_intf.width
+let read { p = T ((module M), s); _ } port = M.read s port
+let read_int { p = T ((module M), s); _ } port = M.read_int s port
+let write { p = T ((module M), s); _ } port bits = M.write s port bits
+let write_int { p = T ((module M), s); _ } port n = M.write_int s port n
+
+(* By-name access: resolve, then read or write.  The error names the
+   by-name call, so a typo reports the function the caller used. *)
+let resolve_as op resolve t name =
+  try resolve t name
+  with Sim_intf.Unknown_signal u -> raise (Sim_intf.Unknown_signal { u with op })
+
+let peek t name = read t (resolve_as "peek" port t name)
+let peek_int t name = read_int t (resolve_as "peek_int" port t name)
+let peek_bool t name = Bits.to_bool (read t (resolve_as "peek_bool" port t name))
+let poke t name bits = write t (resolve_as "poke" input_port t name) bits
+let poke_int t name n = write_int t (resolve_as "poke_int" input_port t name) n
 
 let peek_signal ({ p = T ((module M), s); _ } as t) signal =
   M.peek_signal s (t.map_signal signal)

@@ -89,6 +89,44 @@ val on_cycle : t -> (t -> unit) -> unit
 (** Register an observer called at the end of every cycle, before the
     state commit (i.e. it sees the cycle's settled values). *)
 
+(** {1 Ports}
+
+    A port is a signal name resolved once against this simulator;
+    {!read} and {!write} on it are slot accesses with no name lookup.
+    Resolve ports when a driver or observer attaches, never per
+    cycle.  Names that {!Transform.optimize} merged into another node
+    stay resolvable (they are kept as aliases). *)
+
+type port
+
+val port : t -> string -> port
+(** Resolve a named signal, output or input (see {!Circuit.find_named})
+    for reading.  Raises {!Sim_intf.Unknown_signal}, with near-miss
+    candidates, when the name resolves to nothing. *)
+
+val input_port : t -> string -> port
+(** Resolve a primary input for {!write} (and {!read}). *)
+
+val port_width : port -> int
+
+val read : t -> port -> Bits.t
+
+val read_int : t -> port -> int
+(** No allocation for ports of width <= {!Bits.max_int_width}. *)
+
+val write : t -> port -> Bits.t -> unit
+(** Set a primary input; takes effect at the next {!settle}/{!cycle}.
+    On the compiled and JIT backends, writing the value the input
+    already holds leaves the simulator clean, so the next {!settle}
+    costs nothing. *)
+
+val write_int : t -> port -> int -> unit
+
+(** {1 By-name access}
+
+    Resolve-then-access conveniences for testbenches and one-off
+    probes.  Each call hashes the name; per-cycle code holds ports. *)
+
 val poke : t -> string -> Bits.t -> unit
 (** Set a primary input; takes effect at the next {!settle}/{!cycle}. *)
 
@@ -99,7 +137,10 @@ val peek : t -> string -> Bits.t
 
 val peek_int : t -> string -> int
 val peek_bool : t -> string -> bool
+
 val peek_signal : t -> Signal.t -> Bits.t
+(** Read a node by handle (translated through the optimizer's remap
+    for an optimized simulation). *)
 
 val snapshot : t -> Bits.t array
 (** Current register state of the running circuit, one entry per
@@ -109,7 +150,7 @@ val snapshot : t -> Bits.t array
     setting.  Memories are not captured. *)
 
 val restore : t -> Bits.t array -> unit
-(** Overwrite register state with a {!snapshot}.  Like {!poke}, takes
+(** Overwrite register state with a {!snapshot}.  Like {!write}, takes
     effect at the next {!settle}/{!cycle}; inputs, memories and
     {!cycle_no} are untouched.  Raises [Invalid_argument] on a
     mismatched snapshot. *)

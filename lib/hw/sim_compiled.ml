@@ -11,33 +11,44 @@
    - Wider signals (e.g. MD5's 128-bit digest bus) fall back to
      [Bits.t] storage and the same operations the interpreter uses.
    - Constants are written once at build time, primary inputs are
-     written by [poke], and register outputs hold the latched state
+     written by [write], and register outputs hold the latched state
      directly, so none of them occupy a slot in the settle schedule.
    - Wires are resolved away at compile time: every operand accessor
      chases the wire chain to the real driver, so wires (pervasive in
-     feedback-heavy elastic designs) cost nothing per cycle.  Peeks
+     feedback-heavy elastic designs) cost nothing per cycle.  Ports
      chase the same chain, so named wires stay observable.
 
    Activity gating: the settle schedule is partitioned by what can
    invalidate a node — [steps_input] is the fan-out cone of the
    primary inputs, [steps_state] the cone of registers and memory
    reads (the two overlap; each is kept in topological order).  A
-   dirty flag tracks pokes ([poke]/[poke_int]/[mem_write] set it; a
-   settle clears it):
+   dirty flag tracks input changes ([write]/[write_int] set it; a
+   settle clears it) and [mstale] testbench memory writes:
 
-   - [settle] is a no-op when nothing was poked, and otherwise runs
+   - [settle] is a no-op when no input changed, and otherwise runs
      only the input cone;
    - [cycle] skips its leading settle when the trailing settle of the
      previous cycle already left the circuit consistent, and its
      trailing settle runs only the state cone unless an observer
-     poked.
+     changed an input.
 
    This removes the redundant full double-settle per cycle: a
    free-running circuit pays one state-cone settle per cycle, and a
-   poke-per-cycle testbench pays one input-cone plus one state-cone
+   write-per-cycle testbench pays one input-cone plus one state-cone
    settle instead of two full passes.  Nodes that depend on neither
    inputs nor state (constant cones) are evaluated once at [create]
    and never again.
+
+   Equal-value writes stay clean: writing the value an input slot
+   already holds does not set [dirty].  This is sound because every
+   [settle], [cycle] and batched run leaves each input-dependent node
+   consistent with the current inputs (create and [reset] settle
+   everything; a settle runs the input cone whenever [dirty] is set;
+   a cycle's trailing settle re-runs the state cone, or everything if
+   an observer changed an input), so re-writing an unchanged input
+   invalidates nothing a settle would recompute.  A host loop that
+   clears a valid and settles every cycle pays for the settle only on
+   cycles where the valid actually changed.
 
    A fresh simulator is fully settled, exactly as after [reset].
 
@@ -111,7 +122,7 @@ type t = {
   mem_commits : (unit -> unit) array; (* write ports, phase b *)
   input_resets : (unit -> unit) array;
   snap_regs : Signal.t array; (* Circuit.registers order, for snapshot/restore *)
-  mutable dirty : bool; (* an input was poked since the last settle *)
+  mutable dirty : bool; (* an input changed since the last settle *)
   mutable mstale : bool; (* a memory was written from the testbench *)
   mutable cycle_no : int;
   mutable observers : (t -> unit) list;
@@ -588,10 +599,10 @@ let run_steps (steps : (unit -> unit) array) =
     (Array.unsafe_get steps i) ()
   done
 
-(* Pokes invalidate the input cone; testbench memory writes invalidate
-   the state cone (async read fan-out).  [cycle] re-settles the state
-   cone after every commit, so with neither flag set every slot is
-   already consistent and settling is a no-op. *)
+(* Input changes invalidate the input cone; testbench memory writes
+   invalidate the state cone (async read fan-out).  [cycle] re-settles
+   the state cone after every commit, so with neither flag set every
+   slot is already consistent and settling is a no-op. *)
 let settle t =
   if t.dirty && t.mstale then begin
     run_steps t.steps;
@@ -694,38 +705,45 @@ let circuit t = t.circuit
 
 let on_cycle t f = t.observers <- f :: t.observers
 
-let input_signal t fname name =
-  Sim_intf.find_input ~backend:name_ ~op:fname t.circuit name
+let port t name =
+  let s = Sim_intf.find_named ~backend:name_ t.circuit name in
+  Sim_intf.make_port ~input:false name s ~slot:(resolve s).Signal.uid
 
-let poke t name bits =
-  let s = input_signal t "poke" name in
-  if Bits.width bits <> s.Signal.width then
-    invalid_arg
-      (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name
-         (Bits.width bits) s.Signal.width);
-  if is_int s then t.ivals.(s.Signal.uid) <- Bits.to_int_exn bits
-  else t.bvals.(s.Signal.uid) <- bits;
-  t.dirty <- true
+let input_port t name =
+  let s = Sim_intf.find_input ~backend:name_ t.circuit name in
+  Sim_intf.make_port ~input:true name s ~slot:s.Signal.uid
 
-let poke_int t name n =
-  let s = input_signal t "poke_int" name in
-  poke t name (Bits.of_int ~width:s.Signal.width n)
+let read t (p : Sim_intf.port) =
+  if p.width <= maxw then Bits.of_int ~width:p.width t.ivals.(p.slot)
+  else t.bvals.(p.slot)
+
+let read_int t (p : Sim_intf.port) =
+  if p.width <= maxw then t.ivals.(p.slot) else Bits.to_int t.bvals.(p.slot)
+
+(* Writes of the value a slot already holds leave [dirty] alone (see
+   the header for why that is sound). *)
+let set_int t slot v =
+  if t.ivals.(slot) <> v then begin
+    t.ivals.(slot) <- v;
+    t.dirty <- true
+  end
+
+let write t (p : Sim_intf.port) bits =
+  Sim_intf.check_write ~backend:name_ p bits;
+  if p.width <= maxw then set_int t p.slot (Bits.to_int_exn bits)
+  else if not (Bits.equal t.bvals.(p.slot) bits) then begin
+    t.bvals.(p.slot) <- bits;
+    t.dirty <- true
+  end
+
+let write_int t (p : Sim_intf.port) n =
+  if p.width <= maxw && p.input && n >= 0 then set_int t p.slot (n land mask p.width)
+  else write t p (Bits.of_int ~width:p.width n)
 
 let peek_signal t (s : Signal.t) =
   let s = resolve s in
   if is_int s then Bits.of_int ~width:s.Signal.width t.ivals.(s.Signal.uid)
   else t.bvals.(s.Signal.uid)
-
-let peek t name =
-  peek_signal t (Sim_intf.find_named ~backend:name_ ~op:"peek" t.circuit name)
-
-let peek_int t name =
-  let s = resolve (Sim_intf.find_named ~backend:name_ ~op:"peek_int" t.circuit name) in
-  if is_int s then t.ivals.(s.Signal.uid) else Bits.to_int t.bvals.(s.Signal.uid)
-
-let peek_bool t name =
-  let s = resolve (Sim_intf.find_named ~backend:name_ ~op:"peek_bool" t.circuit name) in
-  if is_int s then t.ivals.(s.Signal.uid) <> 0 else Bits.to_bool t.bvals.(s.Signal.uid)
 
 (* Register-state save/restore, in canonical [Circuit.registers] order
    (NOT the fast/slow commit partition).  Register outputs hold the
@@ -800,7 +818,7 @@ let mem_write t (m : Signal.memory) addr value =
 (* ---- hooks for the native-JIT backend (Sim_jit) ----
 
    Sim_jit reuses this backend's entire instance machinery — storage
-   layout, register/memory commit, peek/poke, snapshot/restore,
+   layout, register/memory commit, ports, snapshot/restore,
    activity flags — and only replaces the three settle schedules with
    compiled kernels.  Everything it needs is exposed here rather than
    duplicated there. *)

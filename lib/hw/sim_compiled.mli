@@ -11,7 +11,7 @@
 include Sim_intf.S
 
 (** Internal hooks for {!Sim_jit}, which reuses this backend's
-    instance machinery (storage layout, commit, peek/poke,
+    instance machinery (storage layout, commit, ports,
     snapshot/restore, activity flags) and swaps only the settle
     schedules for compiled kernels.  Not a stable API for other
     callers. *)

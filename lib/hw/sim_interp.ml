@@ -7,7 +7,7 @@
    state.  Out-of-range memory reads return zero; out-of-range writes
    are dropped.
 
-   A dirty flag (set by [poke]/[mem_write], cleared by a settle) makes
+   A dirty flag (set by [write]/[mem_write], cleared by a settle) makes
    the redundant leading settle in [cycle] free when nothing was poked
    since the previous cycle's trailing settle: back-to-back [cycles]
    pay one settle per cycle instead of two.  A fresh simulator is
@@ -161,31 +161,32 @@ let circuit t = t.circuit
 
 let on_cycle t f = t.observers <- f :: t.observers
 
-let poke t name bits =
-  let s = Sim_intf.find_input ~backend:name_ ~op:"poke" t.circuit name in
-  if Bits.width bits <> s.Signal.width then
-    invalid_arg
-      (Printf.sprintf "Sim.poke %s: width mismatch (%d vs %d)" name
-         (Bits.width bits) s.Signal.width);
-  t.input_values.(s.Signal.uid) <- bits;
+let port t name =
+  let s = Sim_intf.find_named ~backend:name_ t.circuit name in
+  Sim_intf.make_port ~input:false name s ~slot:s.Signal.uid
+
+let input_port t name =
+  let s = Sim_intf.find_input ~backend:name_ t.circuit name in
+  Sim_intf.make_port ~input:true name s ~slot:s.Signal.uid
+
+let read t (p : Sim_intf.port) = t.values.(p.slot)
+let read_int t p = Bits.to_int (read t p)
+
+(* Every write dirties, even one that leaves the input unchanged: the
+   interpreter stays the simplest possible reference for the compiled
+   backends' equal-value elision. *)
+let write t (p : Sim_intf.port) bits =
+  Sim_intf.check_write ~backend:name_ p bits;
+  t.input_values.(p.slot) <- bits;
   t.dirty <- true
 
-let poke_int t name n =
-  let s = Sim_intf.find_input ~backend:name_ ~op:"poke_int" t.circuit name in
-  poke t name (Bits.of_int ~width:s.Signal.width n)
+let write_int t (p : Sim_intf.port) n = write t p (Bits.of_int ~width:p.width n)
 
 let peek_signal t (s : Signal.t) = t.values.(s.Signal.uid)
 
-let peek t name =
-  peek_signal t (Sim_intf.find_named ~backend:name_ ~op:"peek" t.circuit name)
-
-let peek_int t name = Bits.to_int (peek t name)
-
-let peek_bool t name = Bits.to_bool (peek t name)
-
 (* Register-state save/restore, in [Circuit.registers] order ([t.regs]
    is exactly that).  Restore marks the simulator dirty rather than
-   settling eagerly, so a restore/poke/cycle sequence — the model
+   settling eagerly, so a restore/write/cycle sequence — the model
    checker's hot loop — pays a single settle. *)
 let snapshot t =
   Array.map (fun (s : Signal.t) -> t.reg_state.(s.Signal.uid)) t.regs
@@ -218,7 +219,7 @@ let reset t =
     t.circuit.Circuit.memories;
   (* Inputs return to zero too: a reset simulator must be
      indistinguishable from a freshly created one, not retain stale
-     poked values. *)
+     written values. *)
   Circuit.iter_nodes t.circuit (fun (s : Signal.t) ->
       match s.Signal.op with
       | Signal.Input _ -> t.input_values.(s.Signal.uid) <- Bits.zero s.Signal.width

@@ -1,22 +1,41 @@
-(* Signature shared by every simulation backend, plus the structured
-   name-lookup errors both backends raise.
+(* Signature shared by every simulation backend, plus the resolved
+   port type and the structured name-lookup errors every backend
+   raises.
 
    A backend is a cycle-accurate two-phase simulator of an elaborated
    [Circuit.t]: [settle] evaluates the combinational nodes, [cycle]
-   runs settle / observers / commit / settle (so peeks after [cycle]
+   runs settle / observers / commit / settle (so reads after [cycle]
    reflect the newly latched state).  [Sim] packs any backend behind a
-   first-class module so host code is backend-agnostic. *)
+   first-class module so host code is backend-agnostic.
+
+   Signals are accessed through ports: [port]/[input_port] resolve a
+   name once, at attach time, and [read]/[write] on the port are plain
+   slot accesses.  Name lookup (hashing, near-miss diagnostics) never
+   sits on a per-cycle path. *)
 
 exception
   Unknown_signal of {
     backend : string;  (* "interp", "compiled", ... *)
-    op : string;  (* "peek", "poke", ... *)
+    op : string;  (* "port", "input_port", "peek", "poke", ... *)
     name : string;  (* the name that failed to resolve *)
     candidates : string list;  (* near-miss signal names, best first *)
   }
-(* Raised by [peek]/[poke] (and friends) on a name the circuit does not
-   export.  [candidates] lists close matches so a typo'd probe name is
-   diagnosable from the error alone. *)
+(* Raised by [port]/[input_port] (and the by-name [Sim.peek]/[poke]
+   built on them) on a name the circuit does not export.  [candidates]
+   lists close matches so a typo'd probe name is diagnosable from the
+   error alone. *)
+
+(* A signal resolved against one simulator.  [slot] is the backend's
+   storage index for the signal (its uid, after the compiled backends
+   chase wires to their driver); only the simulator that resolved the
+   port — or another instance of the same backend running the same
+   circuit — may use it. *)
+type port = {
+  port_name : string;  (* the name it was resolved from *)
+  slot : int;
+  width : int;
+  input : bool;  (* resolved by [input_port], so writable *)
+}
 
 (* Bounded Levenshtein distance, used only to rank near misses. *)
 let edit_distance a b =
@@ -72,18 +91,34 @@ let pokeable_names (c : Circuit.t) =
   List.sort compare (Hashtbl.fold (fun n _ acc -> n :: acc) c.Circuit.inputs [])
 
 (* Shared lookup helpers for the backends. *)
-let find_input ~backend ~op (c : Circuit.t) name =
+let find_input ~backend (c : Circuit.t) name =
   match Hashtbl.find_opt c.Circuit.inputs name with
   | Some s -> s
-  | None -> unknown_signal ~backend ~op ~names:(pokeable_names c) name
+  | None ->
+    unknown_signal ~backend ~op:"input_port" ~names:(pokeable_names c) name
 
-let find_named ~backend ~op (c : Circuit.t) name =
+let find_named ~backend (c : Circuit.t) name =
   match Hashtbl.find_opt c.Circuit.named name with
   | Some s -> s
   | None ->
     (match Hashtbl.find_opt c.Circuit.inputs name with
      | Some s -> s
-     | None -> unknown_signal ~backend ~op ~names:(peekable_names c) name)
+     | None -> unknown_signal ~backend ~op:"port" ~names:(peekable_names c) name)
+
+(* The port of the signal [s] resolved [name] to, stored at [slot]. *)
+let make_port ~input name (s : Signal.t) ~slot =
+  { port_name = name; slot; width = s.Signal.width; input }
+
+(* Argument checks every backend's [write] applies. *)
+let check_write ~backend p bits =
+  if not p.input then
+    invalid_arg
+      (Printf.sprintf "Sim(%s).write %s: not an input port (use input_port)"
+         backend p.port_name);
+  if Bits.width bits <> p.width then
+    invalid_arg
+      (Printf.sprintf "Sim(%s).write %s: width mismatch (%d vs %d)" backend
+         p.port_name (Bits.width bits) p.width)
 
 let () =
   Printexc.register_printer (function
@@ -120,20 +155,34 @@ module type S = sig
   (** Register an observer called once per cycle, after settle and
       before the state commit (it sees the cycle's settled values). *)
 
-  val poke : t -> string -> Bits.t -> unit
+  val port : t -> string -> port
+  (** Resolve a named signal, output or input (see {!Circuit.find_named})
+      for {!read}.  Resolve once, when a driver or observer attaches;
+      never per cycle.  Raises {!Unknown_signal} (with near-miss
+      candidates) when the name resolves to nothing. *)
+
+  val input_port : t -> string -> port
+  (** Resolve a primary input for {!write} (and {!read}).  Raises
+      {!Unknown_signal} when no input has that name. *)
+
+  val read : t -> port -> Bits.t
+  (** The port's current value: a slot load. *)
+
+  val read_int : t -> port -> int
+  (** As {!read}, as an int; allocates nothing for ports of width
+      <= {!Bits.max_int_width}.  Wider ports raise [Failure] when the
+      value does not fit (as {!Bits.to_int}). *)
+
+  val write : t -> port -> Bits.t -> unit
   (** Set a primary input; takes effect at the next {!settle}/{!cycle}.
-      Raises {!Unknown_signal} (with near-miss candidates) when no
-      input has that name. *)
+      Raises [Invalid_argument] for a port not resolved by
+      {!input_port} or a value of the wrong width. *)
 
-  val poke_int : t -> string -> int -> unit
+  val write_int : t -> port -> int -> unit
+  (** As {!write}, with the value converted like {!Bits.of_int}: bits
+      above the port width are dropped, a negative value raises
+      [Invalid_argument]. *)
 
-  val peek : t -> string -> Bits.t
-  (** Read a named signal, output or input (see {!Circuit.find_named}).
-      Raises {!Unknown_signal} (with near-miss candidates) when the
-      name resolves to nothing. *)
-
-  val peek_int : t -> string -> int
-  val peek_bool : t -> string -> bool
   val peek_signal : t -> Signal.t -> Bits.t
 
   val snapshot : t -> Bits.t array
@@ -145,7 +194,7 @@ module type S = sig
 
   val restore : t -> Bits.t array -> unit
   (** Overwrite register state with a {!snapshot} taken from a
-      simulator of the same circuit.  Like {!poke}, takes effect at
+      simulator of the same circuit.  Like {!write}, takes effect at
       the next {!settle}/{!cycle}; primary inputs, memories and
       {!cycle_no} are untouched.  Raises [Invalid_argument] on an
       array whose length or entry widths do not match. *)

@@ -10,7 +10,7 @@
    ([ocamlfind ocamlopt -shared], or plain [ocamlopt]), loaded with
    [Dynlink], and swapped in as the instance's settle schedules.
    Everything else — storage layout, register and memory commit,
-   peek/poke, snapshot/restore, activity gating, observers — is
+   ports, snapshot/restore, activity gating, observers — is
    [Sim_compiled]'s machinery, reused through
    [Sim_compiled.Jit_support], so the two backends cannot drift.
 
@@ -1053,29 +1053,38 @@ let find_include_dirs () =
      | Some dirs -> Some dirs
      | None -> walk (Sys.getcwd ()) 0)
 
-(* The generated plugin is compiled against hw.cmi and bits.cmi; a
-   kernel built against different interfaces would be rejected by
-   [Dynlink] at load time.  Mixing the cmi digests into the cache key
-   turns that rejection into an honest cache miss instead. *)
+(* The generated plugin is compiled against the library's compiled
+   interfaces; a kernel built against different ones would be rejected
+   by [Dynlink] at load time.  Mixing their digests into the cache key
+   turns that rejection into an honest cache miss instead.  Every .cmi
+   and .cmx in the include directories counts, not just the dune alias
+   modules ([hw.cmi], [bits.cmi]): an edit to an inner module such as
+   [sim_jit.mli] changes [hw__Sim_jit.cmi] and nothing else, and the
+   plugin's import of [Hw.Sim_jit.register_kernel] checks exactly that
+   digest.  The .cmx files count too: with cross-module inlining the
+   generated code bakes in implementation details. *)
+let iface_fingerprint_of dirs =
+  String.concat ";"
+    (List.concat_map
+       (fun d ->
+         let files = try Sys.readdir d with Sys_error _ -> [||] in
+         Array.sort compare files;
+         List.filter_map
+           (fun f ->
+             if Filename.check_suffix f ".cmi" || Filename.check_suffix f ".cmx"
+             then
+               match Digest.file (Filename.concat d f) with
+               | dg -> Some (f ^ "=" ^ Digest.to_hex dg)
+               | exception Sys_error _ -> None
+             else None)
+           (Array.to_list files))
+       dirs)
+
 let iface_fingerprint =
   lazy
     (match find_include_dirs () with
      | None -> "no-cmi"
-     | Some dirs ->
-       String.concat ";"
-         (List.concat_map
-            (fun d ->
-              List.filter_map
-                (fun f ->
-                  let p = Filename.concat d f in
-                  match Digest.file p with
-                  | dg -> Some (Digest.to_hex dg)
-                  | exception Sys_error _ -> None)
-                (* cmx too: with cross-module inlining the generated
-                   code bakes in implementation details, not just the
-                   interfaces *)
-                [ "hw.cmi"; "bits.cmi"; "hw.cmx"; "bits.cmx" ])
-            dirs))
+     | Some dirs -> iface_fingerprint_of dirs)
 
 let compiler_command =
   lazy
@@ -1084,6 +1093,9 @@ let compiler_command =
      else if probe "ocamlopt.opt" then Some "ocamlopt.opt"
      else if probe "ocamlopt" then Some "ocamlopt"
      else None)
+
+let native_toolchain () =
+  Dynlink.is_native && Option.is_some (Lazy.force compiler_command)
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -1374,7 +1386,22 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
            output_string oc text;
            close_out oc;
            let t1 = now () in
-           compile_cmxs ~incs ~src ~out:cmxs;
+           (* Compile to a private name and rename into place: a reader
+              (this process after a crash, or a concurrent one) sees
+              either no kernel or a complete one, never a partially
+              written .cmxs. *)
+           let tmp =
+             try Filename.temp_file ~temp_dir:dir modname ".cmxs"
+             with Sys_error e -> raise (Fell_back ("kernel cache: " ^ e))
+           in
+           (try
+              compile_cmxs ~incs ~src ~out:tmp;
+              Sys.rename tmp cmxs
+            with e ->
+              (try Sys.remove tmp with Sys_error _ -> ());
+              (match e with
+               | Sys_error m -> raise (Fell_back ("kernel cache: " ^ m))
+               | e -> raise e));
            let t2 = now () in
            let m = load_cmxs cmxs in
            Hashtbl.replace loaded hash m;
@@ -1389,7 +1416,7 @@ let obtain_maker (base : Sim_compiled.t) (plan : plan) ~hash =
              finish Native m ~process_hit:false ~disk_hit:true ~cg:0.0 ~cc:0.0
            | exception Fell_back _ ->
              (* Corrupt or stale entry (the interface fingerprint in
-                the key makes this rare): rebuild it in place. *)
+                the key makes this rare): rebuild it. *)
              (try Sys.remove cmxs with Sys_error _ -> ());
              incr disk_misses;
              compile_fresh ()
@@ -1491,11 +1518,14 @@ let cycles t n = Sim_compiled.cycles t.base n
 let cycle_no t = Sim_compiled.cycle_no t.base
 let circuit t = Sim_compiled.circuit t.base
 let on_cycle t f = Sim_compiled.on_cycle t.base (fun _ -> f t)
-let poke t nm bits = Sim_compiled.poke t.base nm bits
-let poke_int t nm n = Sim_compiled.poke_int t.base nm n
-let peek t nm = Sim_compiled.peek t.base nm
-let peek_int t nm = Sim_compiled.peek_int t.base nm
-let peek_bool t nm = Sim_compiled.peek_bool t.base nm
+(* Ports are resolved by name, and named signals are always
+   materialized, so they never hit a register-allocated slot. *)
+let port t nm = Sim_compiled.port t.base nm
+let input_port t nm = Sim_compiled.input_port t.base nm
+let read t p = Sim_compiled.read t.base p
+let read_int t p = Sim_compiled.read_int t.base p
+let write t p bits = Sim_compiled.write t.base p bits
+let write_int t p n = Sim_compiled.write_int t.base p n
 
 let peek_signal t (s : Signal.t) =
   let r = J.resolve s in

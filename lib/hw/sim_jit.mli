@@ -5,7 +5,7 @@
     unboxed-int slot arrays, compiles it with the native toolchain
     ([ocamlfind ocamlopt -shared]), loads it with [Dynlink], and swaps
     it in as the instance's settle schedules — everything else
-    (commit, peek/poke, snapshot/restore, activity gating, observers)
+    (commit, ports, snapshot/restore, activity gating, observers)
     is [Sim_compiled]'s machinery, so the backends stay bit-identical
     by construction.  Compiled kernels are cached in process (keyed by
     a canonical netlist hash) and on disk ([_jit_cache/] under the
@@ -19,7 +19,7 @@
     [Invalid_argument] under the native kernel, because the JIT
     register-allocates such nodes (their slot is never written).  Name
     the signal — named probes are always materialized — or use another
-    backend.  Peeks by name are unaffected.
+    backend.  Ports (resolved by name) are unaffected.
 
     Use through {!Sim} (backend [Jit]) unless backend-specific typing
     is needed. *)
@@ -75,6 +75,13 @@ val set_domains : int -> unit
 
 val domains : unit -> int
 
+val native_toolchain : unit -> bool
+(** Whether native kernels can be built here: the host is native code
+    and an [ocamlopt] is on the [PATH].  When this holds and
+    {!force_fallback} is off, a {!Fallback} build points at a broken
+    setup (missing library interfaces, a failed compile or load), not
+    at a missing toolchain. *)
+
 (** {1 Build statistics and cache control} *)
 
 type mode = Native | Fallback of string  (** fallback reason *)
@@ -110,4 +117,12 @@ val clear_process_cache : unit -> unit
     dynlinked only once per process — and counts as a disk hit). *)
 
 val clear_disk_cache : unit -> unit
-(** Recursively delete {!cache_dir}. *)
+(** Recursively delete {!cache_dir}.  Kernels are written to a
+    temporary file in their cache entry and renamed into place, so a
+    crashed or concurrent writer never leaves a partial [.cmxs]. *)
+
+val iface_fingerprint_of : string list -> string
+(** The interface part of the kernel cache key: a digest of every
+    [.cmi] and [.cmx] file in the given include directories, so a
+    change to any compiled interface the plugin links against (an
+    inner module like [hw__Sim_jit.cmi] included) changes the key. *)

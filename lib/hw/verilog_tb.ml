@@ -27,17 +27,18 @@ let attach sim ~outputs =
     List.filter (fun n -> not (Hashtbl.mem circuit.Circuit.inputs n)) outputs
   in
   let t = { circuit; output_names = outputs; samples = [] } in
-  Sim.on_cycle sim (fun sim ->
-      let inputs =
-        Hashtbl.fold
-          (fun name s acc -> (name, Sim.peek_signal sim s) :: acc)
-          circuit.Circuit.inputs []
-        |> List.sort compare
-      in
-      let outputs =
-        List.map (fun n -> (n, Sim.peek sim n)) t.output_names
-      in
-      t.samples <- { inputs; outputs } :: t.samples);
+  let ports resolve names = List.map (fun n -> (n, resolve sim n)) names in
+  let input_ports =
+    ports Sim.input_port
+      (List.sort compare
+         (Hashtbl.fold (fun n _ acc -> n :: acc) circuit.Circuit.inputs []))
+  in
+  let output_ports = ports Sim.port outputs in
+  let sample = List.map (fun (n, p) -> (n, Sim.read sim p)) in
+  Sim.on_cycle sim (fun _ ->
+      t.samples <-
+        { inputs = sample input_ports; outputs = sample output_ports }
+        :: t.samples);
   t
 
 let emit ?(module_name = "top") ?(tb_name = "tb") t buf =

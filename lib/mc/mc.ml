@@ -84,17 +84,19 @@ type src = {
   retracts : bool;  (* hazard: may withdraw an unfired offer *)
 }
 
-(* One source-to-sink token flow with its occupancy decoder.  [tokens]
-   maps (peek, thread) to the number of this flow's tokens currently
-   stored in the circuit's registers; it must peek every probe it may
-   ever read on every call (the taint check records the names by
-   calling it with a fake peek).  [lo] may be negative for operators
-   that run a delivery debt (eager fork).  Flows sharing [grp] share
-   one physical buffer and are balanced as a unit. *)
+(* One source-to-sink token flow with its occupancy decoder.
+   [tokens probe t] resolves, through [probe], every signal thread
+   [t]'s decoder reads, and returns the decoder: a reader of the number
+   of this flow's tokens currently stored in the circuit's registers.
+   Names are resolved once, when the decoder is built (the taint check
+   records them by building decoders with a fake [probe]).  [lo] may be
+   negative for operators that run a delivery debt (eager fork).
+   Flows sharing [grp] share one physical buffer and are balanced as a
+   unit. *)
 type flow = {
   from_ : string;
   into : sink_ref list;
-  tokens : (string -> int) -> int -> int;
+  tokens : (string -> unit -> int) -> int -> unit -> int;
   lo : int;
   hi : int;
   grp : string option;
@@ -176,12 +178,14 @@ let observed_names spec =
   List.iter
     (fun f ->
       for t = 0 to spec.threads - 1 do
-        ignore
-          (f.tokens
-             (fun nm ->
-               add nm;
-               0)
-             t)
+        let (_ : unit -> int) =
+          f.tokens
+            (fun nm ->
+              add nm;
+              fun () -> 0)
+            t
+        in
+        ()
       done)
     spec.flows;
   !acc
@@ -385,17 +389,32 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
       groups
   in
   let ex_groups = Array.of_list (List.map (List.map src_idx) spec.exclusive) in
-  let pi nm = Sim.peek_int sim nm in
-  let compute_bals () =
-    let a = Array.make (ngrp * t_n) 0 in
-    for g = 0 to ngrp - 1 do
-      let f = flows.(g_rep.(g)) in
-      for t = 0 to t_n - 1 do
-        a.((g * t_n) + t) <- f.tokens pi t
-      done
-    done;
-    a
+  (* Every signal the exploration reads or drives, resolved once. *)
+  let reader nm =
+    let p = Sim.port sim nm in
+    fun () -> Sim.read_int sim p
   in
+  let src_ports f = Array.map (fun s -> f s.src_name) srcs in
+  let src_valid = src_ports (fun n -> Sim.input_port sim (N.valid n)) in
+  let src_data = src_ports (fun n -> Sim.input_port sim (N.data n)) in
+  let src_ready =
+    Array.map (fun s -> if s.gated then reader (N.ready s.src_name) else fun () -> 0) srcs
+  in
+  let src_fire = src_ports (fun n -> reader (N.fire n)) in
+  let snk_ready = Array.map (fun n -> Sim.input_port sim (N.ready n)) snks in
+  let snk_fire = Array.map (fun n -> reader (N.fire n)) snks in
+  let snk_data = Array.map (fun n -> reader (N.data n)) snks in
+  let one_hot_valid = List.map (fun nm -> (nm, Sim.port sim (N.valid nm))) spec.one_hot in
+  let full_states =
+    List.map
+      (fun (inst, n) -> (inst, Array.init n (fun i -> reader (N.state inst i))))
+      spec.full_groups
+  in
+  let decoders =
+    Array.init (ngrp * t_n) (fun k ->
+        flows.(g_rep.(k / t_n)).tokens reader (k mod t_n))
+  in
+  let compute_bals () = Array.map (fun d -> d ()) decoders in
   let pending_of bals offers =
     let m = ref 0 in
     Array.iteri (fun i v -> if v <> 0 then m := !m lor (1 lsl (i mod t_n))) bals;
@@ -517,21 +536,19 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
        (* Base settle: pending offers asserted, every sink ready.
           Registered-state checks and gated availability read here. *)
        Sim.restore sim st.snap;
-       Array.iteri
-         (fun si s ->
-           let o = st.offers.(si) in
-           Sim.poke_int sim (N.valid s.src_name)
-             (if o >= 0 then 1 lsl (o / 2) else 0);
-           Sim.poke_int sim (N.data s.src_name) (if o >= 0 then o land 1 else 0))
-         srcs;
-       Array.iter (fun snk -> Sim.poke_int sim (N.ready snk) all_mask) snks;
+       for si = 0 to nsrc - 1 do
+         let o = st.offers.(si) in
+         Sim.write_int sim src_valid.(si) (if o >= 0 then 1 lsl (o / 2) else 0);
+         Sim.write_int sim src_data.(si) (if o >= 0 then o land 1 else 0)
+       done;
+       Array.iter (fun p -> Sim.write_int sim p all_mask) snk_ready;
        Sim.settle sim;
        List.iter
-         (fun (inst, n) ->
+         (fun (inst, states) ->
            let fulls = ref 0 in
            let bad = ref (-1) in
-           for i = 0 to n - 1 do
-             let v = pi (N.state inst i) in
+           for i = 0 to Array.length states - 1 do
+             let v = states.(i) () in
              if v = 2 then incr fulls;
              if v > 2 then bad := i
            done;
@@ -545,12 +562,8 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                ~expected:"at most one FULL thread (one shared aux slot)"
                ~actual:(Printf.sprintf "%d threads FULL" !fulls)
                ~depth:st.depth ~at:id ())
-         spec.full_groups;
-       let avail =
-         Array.map
-           (fun s -> if s.gated then pi (N.ready s.src_name) else 0)
-           srcs
-       in
+         full_states;
+       let avail = Array.map (fun r -> r ()) src_ready in
        (* Threads each source currently holds (for exclusivity). *)
        let held = Array.make nsrc 0 in
        Array.iteri
@@ -646,21 +659,15 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                  done
                done;
                Sim.restore sim st.snap;
-               Array.iteri
-                 (fun si s ->
-                   let c = combo.(si) in
-                   Sim.poke_int sim (N.valid s.src_name)
-                     (if c >= 0 then 1 lsl (c / 2) else 0);
-                   Sim.poke_int sim (N.data s.src_name)
-                     (if c >= 0 then c land 1 else 0))
-                 srcs;
-               Array.iteri
-                 (fun k snk -> Sim.poke_int sim (N.ready snk) rvec.(k))
-                 snks;
+               for si = 0 to nsrc - 1 do
+                 let c = combo.(si) in
+                 Sim.write_int sim src_valid.(si)
+                   (if c >= 0 then 1 lsl (c / 2) else 0);
+                 Sim.write_int sim src_data.(si) (if c >= 0 then c land 1 else 0)
+               done;
+               Array.iteri (fun k p -> Sim.write_int sim p rvec.(k)) snk_ready;
                Sim.settle sim;
-               let fires_src =
-                 Array.map (fun s -> pi (N.fire s.src_name)) srcs
-               in
+               let fires_src = Array.map (fun r -> r ()) src_fire in
                (* Canonical-order skip: a gated injection that does not
                   fire under this ready combo is the same edge as the
                   combo without it. *)
@@ -694,8 +701,8 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                  in
                  let depth' = st.depth + 1 in
                  List.iter
-                   (fun nm ->
-                     let v = Sim.peek sim (N.valid nm) in
+                   (fun (nm, valid) ->
+                     let v = Sim.read sim valid in
                      if Bits.popcount v > 1 then
                        report ~prop:"one-hot" ~channel:nm
                          ~expected:"at most one valid thread per cycle (P1)"
@@ -703,8 +710,8 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                            (Printf.sprintf "valids = %s"
                               (Bits.to_binary_string v))
                          ~depth:depth' ~at:id ~extra:[ via ] ())
-                   spec.one_hot;
-                 let fires_snk = Array.map (fun snk -> pi (N.fire snk)) snks in
+                   one_hot_valid;
+                 let fires_snk = Array.map (fun r -> r ()) snk_fire in
                  let nf = Array.copy st.fifos in
                  let nord = Array.copy st.order in
                  (* Offer order: a new offer joins its thread's line; a
@@ -762,7 +769,7 @@ let run ?backend ?(mode = Reduced) ?(max_states = 2_000_000) ?(max_reports = 6)
                        for t = 0 to t_n - 1 do
                          if fm land (1 lsl t) <> 0 then begin
                            let obs_full =
-                             if collapse then 0 else pi (N.data snk_nm)
+                             if collapse then 0 else snk_data.(ki) ()
                            in
                            let cands =
                              List.filter
@@ -995,10 +1002,19 @@ let sref ?slice ?accept snk = { snk; slice; accept }
    so conservation flags the same state. *)
 let decode_occ = function 0 -> 0 | 1 -> 1 | 2 -> 2 | _ -> 1
 
-let meb_tokens ~kind ~inst pi t =
-  match kind with
-  | Meb.Reduced -> decode_occ (pi (N.state inst t))
-  | Meb.Full -> decode_occ (pi (N.state (N.sub inst t) 0))
+let meb_tokens ~kind ~inst probe t =
+  let state =
+    match kind with
+    | Meb.Reduced -> probe (N.state inst t)
+    | Meb.Full -> probe (N.state (N.sub inst t) 0)
+  in
+  fun () -> decode_occ (state ())
+
+(* The sum of two decoders' counts (a chain, or a group sharing two
+   buffers). *)
+let sum_tokens a b probe t =
+  let a = a probe t and b = b probe t in
+  fun () -> a () + b ()
 
 let meb_groups ~kind ~inst ~threads =
   match kind with
@@ -1051,9 +1067,7 @@ let meb_chain ~kind ~policy ~threads =
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
           tokens =
-            (fun pi t ->
-              meb_tokens ~kind ~inst:"m0" pi t
-              + meb_tokens ~kind ~inst:"m1" pi t);
+            sum_tokens (meb_tokens ~kind ~inst:"m0") (meb_tokens ~kind ~inst:"m1");
           lo = 0; hi = 4; grp = None } ];
     one_hot = [ "mid"; "snk" ];
     full_groups =
@@ -1108,7 +1122,10 @@ let fork_gen ~retracts ~threads =
       List.init 2 (fun k ->
           { from_ = "src";
             into = [ sref (Printf.sprintf "snk%d" k) ];
-            tokens = (fun pi t -> -pi (N.indexed (N.sub "mfork" t) "done" k));
+            tokens =
+              (fun probe t ->
+                let delivered = probe (N.indexed (N.sub "mfork" t) "done" k) in
+                fun () -> - delivered ());
             lo = -1; hi = 0; grp = None });
     one_hot = [ "snk0"; "snk1" ];
     no_collapse = retracts;
@@ -1290,9 +1307,10 @@ let router ~threads =
          group); the group decoder sums both input buffers.  Per-flow
          pop attribution stays unambiguous because exclusivity keeps a
          thread's in-flight tokens in one input buffer at a time. *)
-      (let both pi t =
-         meb_tokens ~kind:Meb.Reduced ~inst:"ma" pi t
-         + meb_tokens ~kind:Meb.Reduced ~inst:"mc" pi t
+      (let both =
+         sum_tokens
+           (meb_tokens ~kind:Meb.Reduced ~inst:"ma")
+           (meb_tokens ~kind:Meb.Reduced ~inst:"mc")
        in
        [ { from_ = "srca";
            into = [ sref ~accept:0 "snk0"; sref ~accept:1 "snk1" ];
@@ -1318,10 +1336,10 @@ let varlat ~threads =
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
           tokens =
-            (fun pi t ->
-              let occ = pi "vl_occupied" in
-              let owner = if threads = 1 then 0 else pi "vl_owner" in
-              if occ = 1 && owner = t then 1 else 0);
+            (fun probe t ->
+              let occ = probe "vl_occupied" in
+              let owner = if threads = 1 then fun () -> 0 else probe "vl_owner" in
+              fun () -> if occ () = 1 && owner () = t then 1 else 0);
           lo = 0; hi = 1; grp = None } ];
     one_hot = [ "snk" ] }
 
@@ -1340,7 +1358,7 @@ let varlat_per_thread ~threads =
     snks = [ "snk" ];
     flows =
       [ { from_ = "src"; into = [ sref "snk" ];
-          tokens = (fun pi t -> pi (N.indexed "vlp" "occ" t));
+          tokens = (fun probe t -> probe (N.indexed "vlp" "occ" t));
           lo = 0; hi = 1; grp = None } ];
     one_hot = [ "snk" ] }
 
@@ -1363,11 +1381,15 @@ let aligned ~policy ~threads =
     flows =
       [ { from_ = "srca"; into = [ sref ~slice:(1, 1) "snk" ];
           tokens =
-            (fun pi t -> decode_occ (pi (Printf.sprintf "al_a%d_state0" t)));
+            (fun probe t ->
+              let state = probe (Printf.sprintf "al_a%d_state0" t) in
+              fun () -> decode_occ (state ()));
           lo = 0; hi = 2; grp = None };
         { from_ = "srcb"; into = [ sref ~slice:(0, 0) "snk" ];
           tokens =
-            (fun pi t -> decode_occ (pi (Printf.sprintf "al_b%d_state0" t)));
+            (fun probe t ->
+              let state = probe (Printf.sprintf "al_b%d_state0" t) in
+              fun () -> decode_occ (state ()));
           lo = 0; hi = 2; grp = None } ];
     one_hot = [ "snk" ];
     full_groups =

@@ -65,10 +65,10 @@ let reporter t =
         { checker; cycle; channel; thread; expected; actual } :: t.violations
     else t.suppressed <- t.suppressed + 1
 
-let fired_threads v threads =
-  List.filter_map
-    (fun i -> if Bits.bit v i then Some i else None)
-    (List.init threads (fun i -> i))
+(* The low [threads] bits: the per-thread part of a channel vector. *)
+let thread_mask threads = max_int lsr (Bits.max_int_width - threads)
+
+let has_thread v i = v land (1 lsl i) <> 0
 
 (* ---- (a) one-hot valid ---- *)
 
@@ -77,18 +77,15 @@ let fired_threads v threads =
    channel watch (and thus the per-cycle value refresh) with the
    profile — attaching a monitor also yields activity statistics. *)
 let check_one_hot t ~name ~threads =
-  Melastic.Profile.watch_channel t.profile ~name ~threads;
+  let pr = Melastic.Profile.watch_channel t.profile ~name ~threads in
   let report = reporter t in
+  let mask = thread_mask threads in
   Melastic.Profile.on_sample t.profile (fun p ->
-      let v = Melastic.Profile.cycle_valid p name in
-      let asserted = ref 0 in
-      for i = 0 to threads - 1 do
-        if Bits.bit v i then incr asserted
-      done;
-      if !asserted > 1 then
+      let v = Melastic.Profile.valid pr land mask in
+      if v land (v - 1) <> 0 then
         report ~checker:"one-hot" ~cycle:(Melastic.Profile.cycle p) ~channel:name
           ~expected:"at most one valid(i) asserted"
-          ~actual:("valid = 0b" ^ Bits.to_binary_string v)
+          ~actual:("valid = 0b" ^ Bits.to_binary_string (Bits.of_int ~width:threads v))
           ())
 
 (* ---- (b) persistence / data stability under stall ---- *)
@@ -106,38 +103,42 @@ let check_one_hot t ~name ~threads =
    channel with no valid at all, so only re-offer data stability is
    checkable. *)
 let check_stability ?(strict = false) ?(gated = false) t ~name ~threads =
-  Melastic.Profile.watch_channel ~data:true t.profile ~name ~threads;
+  let pr = Melastic.Profile.watch_channel ~data:true t.profile ~name ~threads in
   let report = reporter t in
-  let prev = ref None in
+  let mask = thread_mask threads in
+  (* Last cycle's sample; [primed] once there is one. *)
+  let primed = ref false and pv = ref 0 and pready = ref 0 and pd = ref Bits.gnd in
   Melastic.Profile.on_sample t.profile (fun p ->
-      let v = Melastic.Profile.cycle_valid p name in
-      let r = Melastic.Profile.cycle_ready p name in
-      let d = Melastic.Profile.cycle_data p name in
-      let cycle = Melastic.Profile.cycle p in
-      (match !prev with
-       | None -> ()
-       | Some (pv, pr, pd) ->
-         for i = 0 to threads - 1 do
-           if Bits.bit pv i && not (Bits.bit pr i) then
-             (* Thread [i] was stalled last cycle. *)
-             if Bits.bit v i then begin
-               if not (Bits.equal d pd) then
-                 report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                   ~expected:("stable data 0x" ^ Bits.to_hex_string pd)
-                   ~actual:("data changed to 0x" ^ Bits.to_hex_string d)
-                   ()
-             end
-             else if strict then
-               report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                 ~expected:"valid(i) persists until ready(i)"
-                 ~actual:"valid retracted while stalled" ()
-             else if (not gated) && Bits.is_zero v then
-               report ~checker:"stability" ~cycle ~channel:name ~thread:i
-                 ~expected:"stalled valid persists or another thread is granted"
-                 ~actual:"all valids dropped with the token still untransferred"
-                 ()
-         done);
-      prev := Some (v, r, d))
+      let v = Melastic.Profile.valid pr in
+      let r = Melastic.Profile.ready pr in
+      let d = Melastic.Profile.data pr in
+      let stalled = !pv land lnot !pready land mask in
+      if !primed && stalled <> 0 then begin
+        let cycle = Melastic.Profile.cycle p in
+        for i = 0 to threads - 1 do
+          if has_thread stalled i then
+            if has_thread v i then begin
+              if not (Bits.equal d !pd) then
+                report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                  ~expected:("stable data 0x" ^ Bits.to_hex_string !pd)
+                  ~actual:("data changed to 0x" ^ Bits.to_hex_string d)
+                  ()
+            end
+            else if strict then
+              report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                ~expected:"valid(i) persists until ready(i)"
+                ~actual:"valid retracted while stalled" ()
+            else if (not gated) && v = 0 then
+              report ~checker:"stability" ~cycle ~channel:name ~thread:i
+                ~expected:"stalled valid persists or another thread is granted"
+                ~actual:"all valids dropped with the token still untransferred"
+                ()
+        done
+      end;
+      primed := true;
+      pv := v;
+      pready := r;
+      pd := d)
 
 (* ---- (c) per-thread token conservation scoreboard ---- *)
 
@@ -151,50 +152,57 @@ let check_stability ?(strict = false) ?(gated = false) t ~name ~threads =
 let check_conservation ?transform ?(compare_data = true) ?max_in_flight
     ?(expect_drained = false) t ~src ~snk ~threads =
   let transform = match transform with Some f -> f | None -> fun b -> b in
-  Melastic.Profile.watch_channel ~data:true t.profile ~name:src ~threads;
-  Melastic.Profile.watch_channel ~data:true t.profile ~name:snk ~threads;
+  let src_pr = Melastic.Profile.watch_channel ~data:true t.profile ~name:src ~threads in
+  let snk_pr = Melastic.Profile.watch_channel ~data:true t.profile ~name:snk ~threads in
   let report = reporter t in
   let channel = src ^ "->" ^ snk in
+  let mask = thread_mask threads in
   let queues = Array.init threads (fun _ -> Queue.create ()) in
+  let outstanding = ref 0 in
   let over_bound = ref false in
   Melastic.Profile.on_sample t.profile (fun p ->
       let cycle = Melastic.Profile.cycle p in
-      let sf = Melastic.Profile.cycle_fire p src in
-      let sd = Melastic.Profile.cycle_data p src in
-      List.iter
-        (fun i -> Queue.add (transform sd) queues.(i))
-        (fired_threads sf threads);
-      let kf = Melastic.Profile.cycle_fire p snk in
-      let kd = Melastic.Profile.cycle_data p snk in
-      List.iter
-        (fun i ->
-          if Queue.is_empty queues.(i) then
-            report ~checker:"conservation" ~cycle ~channel ~thread:i
-              ~expected:"every sink token matches an outstanding source token"
-              ~actual:"token delivered with an empty scoreboard (duplication)"
-              ()
-          else begin
-            let expected = Queue.pop queues.(i) in
-            if compare_data && not (Bits.equal kd expected) then
+      let sf = Melastic.Profile.fire src_pr land mask in
+      if sf <> 0 then begin
+        let expected = transform (Melastic.Profile.data src_pr) in
+        for i = 0 to threads - 1 do
+          if has_thread sf i then begin
+            Queue.add expected queues.(i);
+            incr outstanding
+          end
+        done
+      end;
+      let kf = Melastic.Profile.fire snk_pr land mask in
+      if kf <> 0 then begin
+        let kd = Melastic.Profile.data snk_pr in
+        for i = 0 to threads - 1 do
+          if has_thread kf i then
+            if Queue.is_empty queues.(i) then
               report ~checker:"conservation" ~cycle ~channel ~thread:i
-                ~expected:("0x" ^ Bits.to_hex_string expected ^ " (FIFO order)")
-                ~actual:("0x" ^ Bits.to_hex_string kd)
+                ~expected:"every sink token matches an outstanding source token"
+                ~actual:"token delivered with an empty scoreboard (duplication)"
                 ()
-          end)
-        (fired_threads kf threads);
+            else begin
+              let expected = Queue.pop queues.(i) in
+              decr outstanding;
+              if compare_data && not (Bits.equal kd expected) then
+                report ~checker:"conservation" ~cycle ~channel ~thread:i
+                  ~expected:("0x" ^ Bits.to_hex_string expected ^ " (FIFO order)")
+                  ~actual:("0x" ^ Bits.to_hex_string kd)
+                  ()
+            end
+        done
+      end;
       match max_in_flight with
       | Some bound ->
-        let outstanding =
-          Array.fold_left (fun acc q -> acc + Queue.length q) 0 queues
-        in
-        if outstanding > bound then begin
+        if !outstanding > bound then begin
           (* Report once per excursion above the bound, not per cycle. *)
           if not !over_bound then
             report ~checker:"conservation" ~cycle ~channel
               ~expected:
                 (Printf.sprintf "at most %d tokens in flight (buffer capacity)"
                    bound)
-              ~actual:(Printf.sprintf "%d outstanding" outstanding)
+              ~actual:(Printf.sprintf "%d outstanding" !outstanding)
               ();
           over_bound := true
         end
@@ -224,27 +232,27 @@ let check_conservation ?transform ?(compare_data = true) ?max_in_flight
    handshakes are supposed to provide, Section III.A). *)
 let check_watchdog ?(timeout = 1000) ?starvation_timeout ?thread_pending
     ?(pending = fun () -> true) t ~channels ~threads =
-  List.iter
-    (fun name -> Melastic.Profile.watch_channel t.profile ~name ~threads)
-    channels;
+  let probes =
+    Array.of_list
+      (List.map
+         (fun name -> Melastic.Profile.watch_channel t.profile ~name ~threads)
+         channels)
+  in
   let report = reporter t in
   let channel = String.concat "," channels in
   let last_any = ref (-1) in
   let last_thread = Array.make threads (-1) in
   Melastic.Profile.on_sample t.profile (fun p ->
       let cycle = Melastic.Profile.cycle p in
-      let any = ref false in
-      List.iter
-        (fun name ->
-          let v = Melastic.Profile.cycle_fire p name in
-          if not (Bits.is_zero v) then begin
-            any := true;
-            for i = 0 to threads - 1 do
-              if Bits.bit v i then last_thread.(i) <- cycle
-            done
-          end)
-        channels;
-      if !any then last_any := cycle;
+      for k = 0 to Array.length probes - 1 do
+        let v = Melastic.Profile.fire probes.(k) in
+        if v <> 0 then begin
+          last_any := cycle;
+          for i = 0 to threads - 1 do
+            if has_thread v i then last_thread.(i) <- cycle
+          done
+        end
+      done;
       if cycle - !last_any >= timeout && pending () then begin
         report ~checker:"watchdog" ~cycle ~channel
           ~expected:
@@ -281,18 +289,24 @@ let check_barrier ?(timeout = 1000) ?participants t ~name ~threads =
   let participates =
     match participants with None -> Array.make threads true | Some p -> p
   in
-  let state_name i = Melastic.Names.state name i in
-  Array.iteri
-    (fun i p -> if p then Hw.Sampler.watch t.sampler (state_name i))
-    participates;
+  (* One state probe per participant, resolved here; [None] for a
+     thread that does not take part. *)
+  let states =
+    Array.mapi
+      (fun i p ->
+        if p then Some (Hw.Sampler.watch t.sampler (Melastic.Names.state name i))
+        else None)
+      participates
+  in
   let report = reporter t in
   let entered = Array.make threads (-1) in
   Hw.Sampler.on_sample t.sampler (fun smp ->
       let cycle = Hw.Sampler.cycle smp in
       for i = 0 to threads - 1 do
-        if participates.(i) then begin
-          let st = Hw.Sampler.value_int smp (state_name i) in
-          if st = Melastic.Barrier.state_wait then begin
+        match states.(i) with
+        | None -> ()
+        | Some h ->
+          if Hw.Sampler.get_int h = Melastic.Barrier.state_wait then begin
             if entered.(i) < 0 then entered.(i) <- cycle
             else if cycle - entered.(i) >= timeout then begin
               report ~checker:"barrier" ~cycle ~channel:name ~thread:i
@@ -306,7 +320,6 @@ let check_barrier ?(timeout = 1000) ?participants t ~name ~threads =
             end
           end
           else entered.(i) <- -1
-        end
       done)
 
 (* ---- results ---- *)

@@ -499,6 +499,13 @@ module Driver = struct
     mon : Monitor.t option;
     queues : (int * int) Queue.t array;  (* per source: (dst, payload) *)
     mutable hw_in_flight : int;
+    (* Per-terminal ports, resolved at construction: injection
+       valid/data/ready and ejection fire/data. *)
+    inj_valid : Hw.Sim.port array;
+    inj_data : Hw.Sim.port array;
+    inj_ready : Hw.Sim.port array;
+    ej_fire : Hw.Sim.port array;
+    ej_data : Hw.Sim.port array;
   }
 
   let create ?backend ?(kind = Melastic.Meb.Reduced)
@@ -508,6 +515,10 @@ module Driver = struct
       invalid_arg "Noc.Driver.create: payload_width must be in 1..30";
     let p = plan topo in
     let threads = p.n_terminals in
+    if threads > Bits.max_int_width then
+      invalid_arg
+        (Printf.sprintf "Noc.Driver.create: %d terminals (at most %d)" threads
+           Bits.max_int_width);
     let c =
       circuit ~kind ~fairness ~link_slots ~link_overrides ~probes:monitor
         ~payload_width p
@@ -546,8 +557,11 @@ module Driver = struct
       end
     in
     for t = 0 to threads - 1 do
-      Hw.Sim.poke sim (Names.ready (ej t)) (Bits.ones threads)
+      Hw.Sim.write sim
+        (Hw.Sim.input_port sim (Names.ready (ej t)))
+        (Bits.ones threads)
     done;
+    let ports resolve name = Array.init threads (fun t -> resolve sim (name t)) in
     { plan = p;
       payload_width;
       dest_w = dest_width p;
@@ -555,7 +569,12 @@ module Driver = struct
       sim;
       mon;
       queues = Array.init threads (fun _ -> Queue.create ());
-      hw_in_flight = 0 }
+      hw_in_flight = 0;
+      inj_valid = ports Hw.Sim.input_port (fun t -> Names.valid (inj t));
+      inj_data = ports Hw.Sim.input_port (fun t -> Names.data (inj t));
+      inj_ready = ports Hw.Sim.port (fun t -> Names.ready (inj t));
+      ej_fire = ports Hw.Sim.port (fun t -> Names.fire (ej t));
+      ej_data = ports Hw.Sim.port (fun t -> Names.data (ej t)) }
 
   let plan t = t.plan
   let terminals t = t.plan.n_terminals
@@ -584,18 +603,16 @@ module Driver = struct
   let step t =
     let threads = t.plan.n_terminals in
     for s = 0 to threads - 1 do
-      Hw.Sim.poke t.sim (Names.valid (inj s)) (Bits.zero threads)
+      Hw.Sim.write_int t.sim t.inj_valid.(s) 0
     done;
     Hw.Sim.settle t.sim;
     for s = 0 to threads - 1 do
       if not (Queue.is_empty t.queues.(s)) then begin
-        let ready = Hw.Sim.peek t.sim (Names.ready (inj s)) in
-        if Bits.bit ready s then begin
+        let ready = Hw.Sim.read_int t.sim t.inj_ready.(s) in
+        if ready land (1 lsl s) <> 0 then begin
           let dst, payload = Queue.pop t.queues.(s) in
-          Hw.Sim.poke t.sim (Names.valid (inj s))
-            (Bits.set_bit (Bits.zero threads) s true);
-          Hw.Sim.poke t.sim (Names.data (inj s))
-            (Bits.of_int ~width:t.width ((payload lsl t.dest_w) lor dst));
+          Hw.Sim.write_int t.sim t.inj_valid.(s) (1 lsl s);
+          Hw.Sim.write_int t.sim t.inj_data.(s) ((payload lsl t.dest_w) lor dst);
           t.hw_in_flight <- t.hw_in_flight + 1
         end
       end
@@ -603,10 +620,10 @@ module Driver = struct
     Hw.Sim.settle t.sim;
     let out = ref [] in
     for term = threads - 1 downto 0 do
-      let fire = Hw.Sim.peek t.sim (Names.fire (ej term)) in
+      let fire = Hw.Sim.read_int t.sim t.ej_fire.(term) in
       for s = threads - 1 downto 0 do
-        if Bits.bit fire s then begin
-          let data = Bits.to_int (Hw.Sim.peek t.sim (Names.data (ej term))) in
+        if fire land (1 lsl s) <> 0 then begin
+          let data = Hw.Sim.read_int t.sim t.ej_data.(term) in
           out := (term, s, data lsr t.dest_w) :: !out;
           t.hw_in_flight <- t.hw_in_flight - 1
         end

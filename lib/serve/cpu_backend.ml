@@ -14,7 +14,8 @@
    The restart host contract (only pulse while halted and not busy) is
    honoured by construction: Free follows either a halt or a drained
    kill, and restart pulses are serialized one per cycle because
-   restart_pc is a single shared port. *)
+   restart_pc is a single shared port.  The serve-interface signals
+   are resolved to ports when the replica is built. *)
 
 type job = { source : string; args : (int * int) list }
 type result = int array
@@ -26,6 +27,10 @@ type slot_state = Free | Launching | Running | Draining
 let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
     ?(imem_size = 1024) ?(dmem_size = 1024) () _index :
     (job, result) Engine.replica =
+  if slots > Bits.max_int_width then
+    invalid_arg
+      (Printf.sprintf "Cpu_backend.make: %d slots (at most %d)" slots
+         Bits.max_int_width);
   let config =
     { (Cpu.Mt_pipeline.default_config ~threads:slots) with
       Cpu.Mt_pipeline.kind;
@@ -57,30 +62,32 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
   let pending_restart : (int * int) Queue.t = Queue.create () in
   let pulsing = ref None in
   let completions = ref [] in
-  let halted_bit i = Bits.bit (Hw.Sim.peek sim "halted_vec") i in
-  let busy_bit i = Bits.bit (Hw.Sim.peek sim "busy_vec") i in
+  let restart = Hw.Sim.input_port sim "restart" in
+  let restart_pc = Hw.Sim.input_port sim "restart_pc" in
+  let kill = Hw.Sim.input_port sim "kill" in
+  let halted_vec = Hw.Sim.port sim "halted_vec" in
+  let busy_vec = Hw.Sim.port sim "busy_vec" in
+  let halted_bit i = Hw.Sim.read_int sim halted_vec land (1 lsl i) <> 0 in
+  let busy_bit i = Hw.Sim.read_int sim busy_vec land (1 lsl i) <> 0 in
   let step () =
     (* Drop last cycle's pulses before raising this cycle's. *)
-    Hw.Sim.poke_int sim "restart" 0;
-    Hw.Sim.poke_int sim "kill" 0;
-    let kill_mask = ref (Bits.zero slots) in
-    let any_kill = ref false in
+    Hw.Sim.write_int sim restart 0;
+    let kill_mask = ref 0 in
     Array.iteri
       (fun i k ->
         if k then begin
           kill_pending.(i) <- false;
-          any_kill := true;
-          kill_mask := Bits.set_bit !kill_mask i true
+          kill_mask := !kill_mask lor (1 lsl i)
         end)
       kill_pending;
-    if !any_kill then Hw.Sim.poke sim "kill" !kill_mask;
+    Hw.Sim.write_int sim kill !kill_mask;
     (* One restart per cycle (restart_pc is shared), and only once the
        thread is halted with no instruction in flight. *)
     (match Queue.peek_opt pending_restart with
      | Some (slot, base) when halted_bit slot && not (busy_bit slot) ->
        ignore (Queue.pop pending_restart);
-       Hw.Sim.poke sim "restart" (Bits.set_bit (Bits.zero slots) slot true);
-       Hw.Sim.poke_int sim "restart_pc" base;
+       Hw.Sim.write_int sim restart (1 lsl slot);
+       Hw.Sim.write_int sim restart_pc base;
        pulsing := Some slot
      | _ -> ());
     Hw.Sim.cycle sim;

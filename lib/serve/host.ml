@@ -40,6 +40,8 @@ type ('job, 'res) t = {
   queues : 'job queued Queue.t array;
   running : 'job queued option array;
   profile : Melastic.Profile.t;
+  busy_hist : Melastic.Histogram.t; (* the profile's [gauge_busy] *)
+  queue_depth_hist : Melastic.Histogram.t; (* its [gauge_queue_depth] *)
   mutable rr_cls : int;
   mutable steps : int;
   mutable retries : int;
@@ -52,11 +54,14 @@ let create ?(classes = [ default_class ]) replica =
       if c.capacity < 1 then invalid_arg "Host.create: class capacity < 1")
     classes;
   let classes = Array.of_list classes in
+  let profile = Melastic.Profile.create () in
   { classes;
     replica;
     queues = Array.map (fun _ -> Queue.create ()) classes;
     running = Array.make replica.slots None;
-    profile = Melastic.Profile.create ();
+    profile;
+    busy_hist = Melastic.Profile.gauge_hist profile gauge_busy;
+    queue_depth_hist = Melastic.Profile.gauge_hist profile gauge_queue_depth;
     rr_cls = 0;
     steps = 0;
     retries = 0 }
@@ -209,9 +214,8 @@ let step t =
       | _ -> ())
     t.running;
   (* 4. metrics: occupancy, and the peak backlog seen this cycle *)
-  Melastic.Profile.observe t.profile gauge_busy (busy_slots t);
-  Melastic.Profile.observe t.profile gauge_queue_depth
-    (max qd_at_refill (queue_depth t));
+  Melastic.Histogram.add t.busy_hist (busy_slots t);
+  Melastic.Histogram.add t.queue_depth_hist (max qd_at_refill (queue_depth t));
   (* 5. one cycle of the design *)
   t.replica.step ();
   t.steps <- t.steps + 1;
@@ -251,12 +255,10 @@ type metrics = {
 (* Derived from the profile gauges: a histogram's sum and max are
    exact, so these are bit-identical to the former plain counters. *)
 let metrics t =
-  let busy = Melastic.Profile.gauge_hist t.profile gauge_busy in
-  let qd = Melastic.Profile.gauge_hist t.profile gauge_queue_depth in
   { m_steps = t.steps;
-    m_busy_slot_cycles = Melastic.Histogram.sum busy;
-    m_queue_depth_sum = Melastic.Histogram.sum qd;
-    m_queue_depth_max = Melastic.Histogram.max_value qd;
+    m_busy_slot_cycles = Melastic.Histogram.sum t.busy_hist;
+    m_queue_depth_sum = Melastic.Histogram.sum t.queue_depth_hist;
+    m_queue_depth_max = Melastic.Histogram.max_value t.queue_depth_hist;
     m_retries = t.retries }
 
 let finish t = t.replica.finish ()

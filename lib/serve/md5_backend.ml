@@ -11,7 +11,11 @@
    a dummy block, so the barrier episode can always complete even with
    idle slots.  This is the padding bubble of continuous batching:
    occupancy measures how much of the datapath's S-way time-sharing
-   the offered load actually uses. *)
+   the offered load actually uses.
+
+   Every signal the glue touches is resolved to a port when the
+   replica is built; a step reads and writes slots, and its per-thread
+   vectors are plain ints. *)
 
 let monitored_probes = [ "msg"; "digest"; "md5_dp"; "md5_bar_in"; "md5_barrier" ]
 
@@ -31,6 +35,10 @@ let dummy_input () =
 
 let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     _index : (string, string) Engine.replica =
+  if slots > Bits.max_int_width then
+    invalid_arg
+      (Printf.sprintf "Md5_backend.make: %d slots (at most %d)" slots
+         Bits.max_int_width);
   let sim =
     Hw.Sim.create (Md5.Md5_circuit.circuit ~kind ~probes:monitor ~threads:slots ())
   in
@@ -67,7 +75,15 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
   let inj_window = Array.make slots (-1) in
   let inject_ptr = ref 0 in
   let completions = ref [] in
-  Hw.Sim.poke sim (Melastic.Names.ready "digest") (Bits.ones slots);
+  let msg_valid = Hw.Sim.input_port sim (Melastic.Names.valid "msg") in
+  let msg_data = Hw.Sim.input_port sim (Melastic.Names.data "msg") in
+  let msg_ready = Hw.Sim.port sim (Melastic.Names.ready "msg") in
+  let digest_fire = Hw.Sim.port sim (Melastic.Names.fire "digest") in
+  let digest_data = Hw.Sim.port sim (Melastic.Names.data "digest") in
+  let round_counter = Hw.Sim.port sim "round_counter" in
+  Hw.Sim.write sim
+    (Hw.Sim.input_port sim (Melastic.Names.ready "digest"))
+    (Bits.ones slots);
   let real_pending i =
     match slot.(i) with
     | Busy b -> (not b.cancelled) && not b.injected
@@ -86,15 +102,16 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
     !found
   in
   let step () =
-    (* Clear valids, settle, observe which threads could enter. *)
-    Hw.Sim.poke sim (Melastic.Names.valid "msg") (Bits.zero slots);
+    (* Clear valids, settle, observe which threads could enter.  On
+       the compiled backends the clear is free when no valid was up. *)
+    Hw.Sim.write_int sim msg_valid 0;
     Hw.Sim.settle sim;
-    let ready = Hw.Sim.peek sim (Melastic.Names.ready "msg") in
+    let ready = Hw.Sim.read_int sim msg_ready in
     (* Round-robin: one injection per cycle at most. *)
     let chosen = ref None in
     for k = 0 to slots - 1 do
       let i = (!inject_ptr + k) mod slots in
-      if !chosen = None && Bits.bit ready i
+      if !chosen = None && ready land (1 lsl i) <> 0
          && (real_pending i || fresh_elsewhere i)
       then chosen := Some i
     done;
@@ -109,17 +126,17 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
              ~iv:b.chain
          | _ -> dummy_input ()
        in
-       Hw.Sim.poke sim (Melastic.Names.valid "msg") (Bits.set_bit (Bits.zero slots) i true);
-       Hw.Sim.poke sim (Melastic.Names.data "msg") data;
+       Hw.Sim.write_int sim msg_valid (1 lsl i);
+       Hw.Sim.write sim msg_data data;
        hw_busy.(i) <- true;
        inj_window.(i) <- !window;
        inject_ptr := (i + 1) mod slots
      | None -> ());
     Hw.Sim.settle sim;
-    let fire = Hw.Sim.peek sim (Melastic.Names.fire "digest") in
-    let digest = Hw.Sim.peek sim (Melastic.Names.data "digest") in
+    let fire = Hw.Sim.read_int sim digest_fire in
+    let digest = Hw.Sim.read sim digest_data in
     for i = 0 to slots - 1 do
-      if Bits.bit fire i then begin
+      if fire land (1 lsl i) <> 0 then begin
         hw_busy.(i) <- false;
         match slot.(i) with
         | Busy b when b.injected ->
@@ -139,7 +156,7 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
       end
     done;
     Hw.Sim.cycle sim;
-    let c = Bits.to_int (Hw.Sim.peek sim "round_counter") in
+    let c = Hw.Sim.read_int sim round_counter in
     if !last_ctr <> 0 && c = 0 then incr window;
     last_ctr := c
   in

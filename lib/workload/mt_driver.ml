@@ -15,10 +15,15 @@ type event = { cycle : int; thread : int; data : Bits.t }
 
 type t = {
   sim : Hw.Sim.t;
-  src : string;
-  snk : string;
   threads : int;
   width : int;
+  (* Endpoint ports, resolved at [create]. *)
+  src_valid : Hw.Sim.port;
+  src_data : Hw.Sim.port;
+  src_ready : Hw.Sim.port;
+  snk_ready : Hw.Sim.port;
+  snk_fire : Hw.Sim.port;
+  snk_data : Hw.Sim.port;
   pending : Bits.t Queue.t array;
   mutable inject_ptr : int;
   mutable sink_ready : int -> int -> bool;
@@ -27,7 +32,14 @@ type t = {
 }
 
 let create sim ~src ~snk ~threads ~width =
-  { sim; src; snk; threads; width;
+  let module N = Melastic.Names in
+  { sim; threads; width;
+    src_valid = Hw.Sim.input_port sim (N.valid src);
+    src_data = Hw.Sim.input_port sim (N.data src);
+    src_ready = Hw.Sim.port sim (N.ready src);
+    snk_ready = Hw.Sim.input_port sim (N.ready snk);
+    snk_fire = Hw.Sim.port sim (N.fire snk);
+    snk_data = Hw.Sim.port sim (N.data snk);
     pending = Array.init threads (fun _ -> Queue.create ());
     inject_ptr = 0;
     sink_ready = (fun _ _ -> true);
@@ -54,11 +66,11 @@ let vec_of_pred t f =
 let step t =
   let sim = t.sim in
   let c = Hw.Sim.cycle_no sim in
-  Hw.Sim.poke sim (Melastic.Names.ready t.snk) (vec_of_pred t (fun i -> t.sink_ready c i));
+  Hw.Sim.write sim t.snk_ready (vec_of_pred t (fun i -> t.sink_ready c i));
   (* Clear valids, settle, observe upstream readiness. *)
-  Hw.Sim.poke sim (Melastic.Names.valid t.src) (Bits.zero t.threads);
+  Hw.Sim.write sim t.src_valid (Bits.zero t.threads);
   Hw.Sim.settle sim;
-  let ready = Hw.Sim.peek sim (Melastic.Names.ready t.src) in
+  let ready = Hw.Sim.read sim t.src_ready in
   (* Round-robin over threads that can inject this cycle. *)
   let chosen = ref None in
   for k = 0 to t.threads - 1 do
@@ -69,18 +81,17 @@ let step t =
   (match !chosen with
    | Some i ->
      let d = Queue.pop t.pending.(i) in
-     Hw.Sim.poke sim (Melastic.Names.valid t.src) (Bits.set_bit (Bits.zero t.threads) i true);
-     Hw.Sim.poke sim (Melastic.Names.data t.src) d;
+     Hw.Sim.write sim t.src_valid (Bits.set_bit (Bits.zero t.threads) i true);
+     Hw.Sim.write sim t.src_data d;
      t.inject_ptr <- (i + 1) mod t.threads;
      t.in_log <- { cycle = c; thread = i; data = d } :: t.in_log
    | None -> ());
   Hw.Sim.settle sim;
-  let fire = Hw.Sim.peek sim (Melastic.Names.fire t.snk) in
+  let fire = Hw.Sim.read sim t.snk_fire in
   for i = 0 to t.threads - 1 do
     if Bits.bit fire i then
       t.out_log <-
-        { cycle = c; thread = i; data = Hw.Sim.peek sim (Melastic.Names.data t.snk) }
-        :: t.out_log
+        { cycle = c; thread = i; data = Hw.Sim.read sim t.snk_data } :: t.out_log
   done;
   Hw.Sim.cycle sim
 

@@ -15,10 +15,14 @@ type event = { cycle : int; thread : int; data : Bits.t }
 
 type t = {
   sim : Hw.Sim.t;
-  src : string;
-  snk : string;
   threads : int;
   width : int;
+  src_valid : Hw.Sim.port;  (** [<src>_valid], resolved at {!create} *)
+  src_data : Hw.Sim.port;
+  src_ready : Hw.Sim.port;
+  snk_ready : Hw.Sim.port;  (** [<snk>_ready] *)
+  snk_fire : Hw.Sim.port;
+  snk_data : Hw.Sim.port;
   pending : Bits.t Queue.t array;
   mutable inject_ptr : int;
   mutable sink_ready : int -> int -> bool;

@@ -3,39 +3,44 @@
 
    Channels are observed through the outputs installed by
    [Mt_channel.probe] (or sink/source endpoints that export the same
-   <name>_fire / <name>_data signals).  The per-cycle peek loop is
+   <name>_fire / <name>_data signals).  The per-cycle read loop is
    [Hw.Sampler]'s; this module only keeps the per-probe token log. *)
 
 type cell = { thread : int; data : Bits.t }
 
-type probe_log = { probe : string; mutable cells : (int * cell) list }
-
-type t = {
-  sampler : Hw.Sampler.t;
-  threads : int;
-  logs : probe_log list;
+type probe_log = {
+  probe : string;
+  fire_sig : Hw.Sampler.handle;
+  data_sig : Hw.Sampler.handle;
+  mutable cells : (int * cell) list;
 }
+
+type t = { logs : probe_log list }
 
 let attach sim ~threads ~probes =
   let sampler = Hw.Sampler.attach sim in
-  let logs = List.map (fun p -> { probe = p; cells = [] }) probes in
-  List.iter
-    (fun p ->
-      Hw.Sampler.watch sampler (Melastic.Names.fire p);
-      Hw.Sampler.watch sampler (Melastic.Names.data p))
-    probes;
-  let t = { sampler; threads; logs } in
+  let logs =
+    List.map
+      (fun p ->
+        { probe = p;
+          fire_sig = Hw.Sampler.watch sampler (Melastic.Names.fire p);
+          data_sig = Hw.Sampler.watch sampler (Melastic.Names.data p);
+          cells = [] })
+      probes
+  in
   Hw.Sampler.on_sample sampler (fun smp ->
       let c = Hw.Sampler.cycle smp in
       List.iter
         (fun log ->
-          let fire = Hw.Sampler.value smp (Melastic.Names.fire log.probe) in
-          let data = Hw.Sampler.value smp (Melastic.Names.data log.probe) in
+          let fire = Hw.Sampler.get log.fire_sig in
           for i = 0 to threads - 1 do
-            if Bits.bit fire i then log.cells <- (c, { thread = i; data }) :: log.cells
+            if Bits.bit fire i then
+              log.cells <-
+                (c, { thread = i; data = Hw.Sampler.get log.data_sig })
+                :: log.cells
           done)
         logs);
-  t
+  { logs }
 
 let cell_at log c = List.assoc_opt c log.cells
 

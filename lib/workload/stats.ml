@@ -10,36 +10,42 @@
    retains the full per-cycle series, which [samples] and the exact
    small-value [histogram] report from directly. *)
 
+(* A sampled signal: its recorded sampler handle and its gauge. *)
+type series = { handle : Hw.Sampler.handle; hist : Melastic.Histogram.t }
+
 type t = {
-  sampler : Hw.Sampler.t;
   profile : Melastic.Profile.t;
-  signals : string list;
+  series : (string * series) list; (* attach order *)
 }
 
 (* Sample the named signals (ints) at the end of every cycle. *)
 let attach sim ~signals =
   let sampler = Hw.Sampler.attach sim in
   let profile = Melastic.Profile.attach sampler in
-  List.iter (Hw.Sampler.record sampler) signals;
-  Melastic.Profile.on_sample profile (fun p ->
+  let series =
+    List.map
+      (fun name ->
+        ( name,
+          { handle = Hw.Sampler.record sampler name;
+            hist = Melastic.Profile.gauge_hist profile name } ))
+      signals
+  in
+  Melastic.Profile.on_sample profile (fun _ ->
       List.iter
-        (fun name ->
-          Melastic.Profile.observe p name (Hw.Sampler.value_int sampler name))
-        signals);
-  { sampler; profile; signals }
+        (fun (_, s) -> Melastic.Histogram.add s.hist (Hw.Sampler.get_int s.handle))
+        series);
+  { profile; series }
 
 let profile t = t.profile
 
-let check t name =
-  if not (List.mem name t.signals) then invalid_arg ("Stats: unknown series " ^ name)
+let find t name =
+  match List.assoc_opt name t.series with
+  | Some s -> s
+  | None -> invalid_arg ("Stats: unknown series " ^ name)
 
-let samples t name =
-  check t name;
-  Hw.Sampler.series_int t.sampler name
+let samples t name = Hw.Sampler.series_int (find t name).handle
 
-let gauge t name =
-  check t name;
-  Melastic.Profile.gauge_hist t.profile name
+let gauge t name = (find t name).hist
 
 let mean t name = Melastic.Histogram.mean (gauge t name)
 let maximum t name = Melastic.Histogram.max_value (gauge t name)
@@ -76,5 +82,5 @@ let pp_histogram fmt (t, name) =
 let report t =
   Format.asprintf "%a"
     (fun fmt () ->
-      List.iter (fun name -> pp_histogram fmt (t, name)) t.signals)
+      List.iter (fun (name, _) -> pp_histogram fmt (t, name)) t.series)
     ()

@@ -104,8 +104,10 @@ let threads = 3
 let tokens_per_thread = 5
 
 (* src --Meb(m)--> snk, with m's occupancy exported the way
-   Component.buffer ~export_occupancy does it. *)
-let profiled_run () =
+   Component.buffer ~export_occupancy does it.  With [upgrade], m is
+   first watched without occupancy (as a monitor would) and the
+   occupancy request arrives on the already-watched channel. *)
+let profiled_run ?(upgrade = false) () =
   let b = S.Builder.create () in
   let src = Mc.source b ~name:"src" ~threads ~width:16 in
   let m = Melastic.Meb.create ~name:"m" ~kind:Melastic.Meb.Reduced b src in
@@ -113,9 +115,14 @@ let profiled_run () =
   Mc.sink b ~name:"snk" m.Melastic.Meb.out;
   let sim = Hw.Sim.create (Hw.Circuit.create b) in
   let p = Profile.attach (Hw.Sampler.attach sim) in
-  Profile.watch_channel p ~name:"src" ~threads;
-  Profile.watch_channel p ~name:"snk" ~threads;
-  Profile.watch_channel ~occupancy:true p ~name:"m" ~threads;
+  List.iter
+    (fun name -> ignore (Profile.watch_channel p ~name ~threads))
+    [ "src"; "snk" ];
+  let first = if upgrade then Some (Profile.watch_channel p ~name:"m" ~threads) else None in
+  let probe = Profile.watch_channel ~occupancy:true p ~name:"m" ~threads in
+  Option.iter
+    (fun pr -> Alcotest.(check bool) "same probe" true (pr == probe))
+    first;
   let d = Workload.Mt_driver.create sim ~src:"src" ~snk:"snk" ~threads ~width:16 in
   for t = 0 to threads - 1 do
     for i = 1 to tokens_per_thread do
@@ -156,6 +163,11 @@ let check_channel_stats p =
 
 let test_profile_channels () = check_channel_stats (profiled_run ())
 
+(* An occupancy request on an already-watched channel must upgrade it,
+   the way a [~data] request does, not be dropped. *)
+let test_profile_occupancy_upgrade () =
+  check_channel_stats (profiled_run ~upgrade:true ())
+
 let test_profile_json_roundtrip () =
   let p = profiled_run () in
   Profile.observe p "queue" 2;
@@ -183,7 +195,7 @@ let test_profile_json_roundtrip () =
   (* A loaded profile is host-only: watching must raise. *)
   Alcotest.check_raises "host-only"
     (Invalid_argument "Profile: host-only profile has no sampler")
-    (fun () -> Profile.watch_channel q ~name:"x" ~threads:1)
+    (fun () -> ignore (Profile.watch_channel q ~name:"x" ~threads:1))
 
 let test_profile_gauges_merge () =
   let a = Profile.create () and b = Profile.create () in
@@ -348,6 +360,8 @@ let suite =
       Alcotest.test_case "histogram bucket roundtrip" `Quick
         test_hist_bucket_roundtrip;
       Alcotest.test_case "channel statistics" `Quick test_profile_channels;
+      Alcotest.test_case "occupancy upgrade on a watched channel" `Quick
+        test_profile_occupancy_upgrade;
       Alcotest.test_case "json roundtrip" `Quick test_profile_json_roundtrip;
       Alcotest.test_case "gauge merge" `Quick test_profile_gauges_merge;
       Alcotest.test_case "placement lookup" `Quick test_placement_lookup;

@@ -498,6 +498,156 @@ let test_unknown_signal () =
            (contains "countr" && contains "counter")))
     [ Hw.Sim.Interp; Hw.Sim.Compiled; Hw.Sim.Jit ]
 
+(* ---- ports ---- *)
+
+let port_backends = [ Hw.Sim.Interp; Hw.Sim.Compiled; Hw.Sim.Jit ]
+
+(* Drive every simulator of [circuit] (interp first, the reference)
+   through ports with identical random traffic, checking every output
+   port with [read] and — when it fits an int — [read_int] after each
+   settle and cycle.  Half the values repeat what the input already
+   holds, and every value is written twice, so the compiled backends'
+   equal-value elision is exercised on every cycle. *)
+let ports_lockstep ?(cycles = 25) st circuit =
+  let sims = List.map (fun backend -> Hw.Sim.create ~backend circuit) port_backends in
+  let inputs =
+    Hashtbl.fold
+      (fun name (s : S.t) acc -> (name, s.S.width) :: acc)
+      circuit.Hw.Circuit.inputs []
+    |> List.sort compare |> Array.of_list
+  in
+  let outputs = List.map fst circuit.Hw.Circuit.outputs in
+  let resolved =
+    List.map
+      (fun sim ->
+        ( sim,
+          Array.map (fun (n, _) -> Hw.Sim.input_port sim n) inputs,
+          List.map (fun n -> (n, Hw.Sim.port sim n)) outputs ))
+      sims
+  in
+  let check tag =
+    match resolved with
+    | [] -> ()
+    | (ref_sim, _, ref_outs) :: others ->
+      let expect = List.map (fun (_, p) -> Hw.Sim.read ref_sim p) ref_outs in
+      List.iter
+        (fun (sim, _, outs) ->
+          List.iter2
+            (fun (n, p) e ->
+              let got = Hw.Sim.read sim p in
+              if not (Bits.equal got e) then
+                Alcotest.failf "%s: %s read %S = %s, interp %s" tag
+                  (Hw.Sim.backend_name sim) n (Bits.to_string got)
+                  (Bits.to_string e);
+              if Hw.Sim.port_width p <= Bits.max_int_width
+                 && Hw.Sim.read_int sim p <> Bits.to_int e
+              then
+                Alcotest.failf "%s: %s read_int %S differs" tag
+                  (Hw.Sim.backend_name sim) n)
+            outs expect)
+        others
+  in
+  let held = Array.map (fun (_, w) -> Bits.zero w) inputs in
+  for c = 1 to cycles do
+    Array.iteri
+      (fun k (_, w) ->
+        if Random.State.bool st then held.(k) <- Bits.random st ~width:w;
+        let v = held.(k) in
+        List.iter
+          (fun (sim, ins, _) ->
+            for _ = 1 to 2 do
+              if w <= Bits.max_int_width && Random.State.bool st then
+                Hw.Sim.write_int sim ins.(k) (Bits.to_int v)
+              else Hw.Sim.write sim ins.(k) v
+            done)
+          resolved)
+      inputs;
+    List.iter (fun (sim, _, _) -> Hw.Sim.settle sim) resolved;
+    check (Printf.sprintf "settle %d" c);
+    List.iter (fun (sim, _, _) -> Hw.Sim.cycle sim) resolved;
+    check (Printf.sprintf "cycle %d" c)
+  done
+
+(* Random circuits span widths 1..96, so ports wider than
+   [Bits.max_int_width] are covered. *)
+let test_ports_random_circuits () =
+  let st = Random.State.make [| 0x9047 |] in
+  for _ = 1 to 3 do
+    ports_lockstep st (random_circuit st)
+  done
+
+(* A name [Transform.optimize] folds onto another node survives as an
+   alias, and a port on it reads that node on the optimizing backends. *)
+let test_ports_optimizer_alias () =
+  let b = S.Builder.create () in
+  let x = S.input b "x" 8 and y = S.input b "y" 8 in
+  let w = S.input b "w" 80 in
+  let acc =
+    S.set_name (S.reg_fb b ~width:8 (fun q -> S.add b q (S.add b x y))) "acc"
+  in
+  ignore (S.set_name (S.add b x y) "sum_a");
+  ignore (S.set_name (S.add b y x) "sum_b");
+  ignore (S.output b "mix" (S.lxor_ b acc (S.add b y x)));
+  ignore (S.output b "wide" (S.add b w (S.uresize b acc 80)));
+  let circuit = Hw.Circuit.create b in
+  let opt = Hw.Sim.create ~backend:Hw.Sim.Compiled circuit in
+  let c' = Hw.Sim.circuit opt in
+  Alcotest.(check bool) "sum_b merged into sum_a" true
+    (Hw.Circuit.find_named c' "sum_a" == Hw.Circuit.find_named c' "sum_b");
+  let st = Random.State.make [| 0xa11a5 |] in
+  ports_lockstep st circuit;
+  let sims = List.map (fun backend -> Hw.Sim.create ~backend circuit) port_backends in
+  List.iter
+    (fun sim ->
+      Hw.Sim.write_int sim (Hw.Sim.input_port sim "x") 5;
+      Hw.Sim.write_int sim (Hw.Sim.input_port sim "y") 9;
+      Hw.Sim.settle sim;
+      Alcotest.(check int)
+        (Hw.Sim.backend_name sim ^ " alias port")
+        14
+        (Hw.Sim.read_int sim (Hw.Sim.port sim "sum_b")))
+    sims
+
+(* [port]/[input_port] reject a misspelt name with the same structured
+   error and candidates as the by-name [peek]/[poke]; [write] rejects
+   a read-only port and a value of the wrong width. *)
+let test_port_errors () =
+  let b = S.Builder.create () in
+  let x = S.input b "enable" 1 in
+  ignore (S.output b "counter" (S.reg_fb b ~enable:x ~width:8 (fun q -> S.add b q (S.of_int b ~width:8 1))));
+  let circuit = Hw.Circuit.create b in
+  let candidates f =
+    match f () with
+    | _ -> Alcotest.fail "unknown name resolved"
+    | exception Hw.Sim_intf.Unknown_signal { op; candidates; _ } -> (op, candidates)
+  in
+  List.iter
+    (fun backend ->
+      let sim = Hw.Sim.create ~backend circuit in
+      let tag = Hw.Sim.backend_to_string backend in
+      let peek_op, peek_c = candidates (fun () -> ignore (Hw.Sim.peek sim "countr")) in
+      let port_op, port_c = candidates (fun () -> ignore (Hw.Sim.port sim "countr")) in
+      Alcotest.(check string) (tag ^ " peek op") "peek" peek_op;
+      Alcotest.(check string) (tag ^ " port op") "port" port_op;
+      Alcotest.(check (list string)) (tag ^ " port candidates") peek_c port_c;
+      Alcotest.(check bool) (tag ^ " suggests counter") true (List.mem "counter" port_c);
+      let _, poke_c =
+        candidates (fun () -> Hw.Sim.poke sim "enabel" (Bits.of_int ~width:1 1))
+      in
+      let in_op, in_c = candidates (fun () -> ignore (Hw.Sim.input_port sim "enabel")) in
+      Alcotest.(check string) (tag ^ " input_port op") "input_port" in_op;
+      Alcotest.(check (list string)) (tag ^ " input_port candidates") poke_c in_c;
+      let rejects what f =
+        match f () with
+        | () -> Alcotest.failf "%s: %s accepted" tag what
+        | exception Invalid_argument _ -> ()
+      in
+      rejects "write to a read-only port" (fun () ->
+          Hw.Sim.write_int sim (Hw.Sim.port sim "enable") 1);
+      rejects "write of the wrong width" (fun () ->
+          Hw.Sim.write sim (Hw.Sim.input_port sim "enable") (Bits.zero 2)))
+    port_backends
+
 (* ---- native JIT backend ---- *)
 
 (* Same randomized lockstep as the compiled backend, with the JIT as
@@ -585,11 +735,49 @@ let test_jit_cycles_batching () =
   run ~domains:1;
   run ~domains:2
 
+(* The kernel cache key digests every compiled interface, so editing
+   an inner module's interface (here [hw__Sim_jit.cmi], which the dune
+   alias [hw.cmi] does not reflect) is a cache miss, not a stale load. *)
+let test_jit_fingerprint_inner_cmi () =
+  let dir = Filename.temp_file "elastic_fp" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let path f = Filename.concat dir f in
+  let write f content =
+    let oc = open_out_bin (path f) in
+    output_string oc content;
+    close_out oc
+  in
+  let files = [ "hw.cmi"; "hw__Sim_jit.cmi"; "hw__Sim_jit.cmx"; "hw__Sim_jit.cmt" ] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun f -> try Sys.remove (path f) with Sys_error _ -> ()) files;
+      Sys.rmdir dir)
+    (fun () ->
+      List.iter (fun f -> write f ("v1 " ^ f)) files;
+      let fp () = Hw.Sim_jit.iface_fingerprint_of [ dir ] in
+      let before = fp () in
+      write "hw__Sim_jit.cmt" "v2";
+      Alcotest.(check string) "non-interface file ignored" before (fp ());
+      write "hw__Sim_jit.cmi" "v2";
+      let after_cmi = fp () in
+      Alcotest.(check bool) "inner .cmi changes the key" true (before <> after_cmi);
+      write "hw__Sim_jit.cmx" "v2";
+      Alcotest.(check bool) "inner .cmx changes the key" true (after_cmi <> fp ()))
+
 let suite =
   ( "sim-backends",
     [ Alcotest.test_case "random circuits lockstep" `Quick test_random_circuits;
       Alcotest.test_case "unknown signal error (both)" `Quick
         test_unknown_signal;
+      Alcotest.test_case "ports lockstep on random circuits (all)" `Quick
+        test_ports_random_circuits;
+      Alcotest.test_case "ports on optimizer aliases (all)" `Quick
+        test_ports_optimizer_alias;
+      Alcotest.test_case "port errors match peek/poke (all)" `Quick
+        test_port_errors;
+      Alcotest.test_case "jit cache key covers inner interfaces" `Quick
+        test_jit_fingerprint_inner_cmi;
       Alcotest.test_case "reset equivalence" `Quick test_reset_equivalence;
       Alcotest.test_case "mux clamp (compiled)" `Quick test_mux_clamp_compiled;
       Alcotest.test_case "memory port priority (both)" `Quick
