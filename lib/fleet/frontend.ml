@@ -70,6 +70,10 @@ let create ?(config = default_config) ~make_host ~key () =
   if c.classes = [] then invalid_arg "Frontend.create: no classes";
   if c.dispatch_per_cycle < 1 then
     invalid_arg "Frontend.create: dispatch_per_cycle < 1";
+  (match c.deadline with
+   | Some d when d < 1 -> invalid_arg "Frontend.create: deadline must be >= 1"
+   | _ -> ());
+  if c.retries < 0 then invalid_arg "Frontend.create: negative retries";
   { cfg = c;
     key_fn = key;
     make_host;

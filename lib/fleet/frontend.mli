@@ -69,7 +69,9 @@ val create :
 (** [make_host i] builds host [i]'s replica; hosts may differ (e.g.
     one NoC-fabric host among flat ones).  [key] maps a job to its
     cache/dedup/routing key — byte-equal keys must imply byte-equal
-    results. *)
+    results.  Raises [Invalid_argument] on [n_hosts < 1], no classes,
+    [dispatch_per_cycle < 1], [deadline = Some d] with [d < 1] or
+    negative [retries] (the job-budget bounds of {!Serve.Engine.submit}). *)
 
 (** {1 Submitting} *)
 

@@ -22,6 +22,10 @@ type result = int array
 
 let dmem_base_reg = Cpu.Isa.num_regs - 1
 
+(* One shared zero for clearing a slot's dmem region ([Bits.t] values
+   are immutable). *)
+let zero_word = Bits.zero 32
+
 type slot_state = Free | Launching | Running | Draining
 
 let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
@@ -139,8 +143,7 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 4)
             (Bits.of_int_trunc ~width:32 v)
         done;
         for a = 0 to dregion - 1 do
-          Hw.Sim.mem_write sim t.Cpu.Mt_pipeline.dmem (dbase + a)
-            (Bits.zero 32)
+          Hw.Sim.mem_write sim t.Cpu.Mt_pipeline.dmem (dbase + a) zero_word
         done;
         state.(slot) <- Launching;
         Queue.add (slot, base) pending_restart);

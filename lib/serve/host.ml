@@ -2,10 +2,18 @@
    factored into a layer the fleet front-end can interleave.
 
    State: bounded per-class FIFO queues of [queued] entries, one
-   [queued] per busy slot, and the per-cycle metrics counters.  The
-   step order replicates the original engine loop exactly — queued
-   expiry, refill, running expiry, metrics, replica step, harvest —
-   so [Engine.run] rebuilt on this layer serves byte-identically. *)
+   [queued] per busy slot, the per-cycle metrics counters, and the
+   queued-deadline watermark [next_expiry].  The step order replicates
+   the original engine loop exactly — queued expiry, refill, running
+   expiry, metrics, replica step, harvest — so [Engine.run] rebuilt
+   on this layer serves byte-identically.
+
+   Queued expiry pays per event, not per waiting job: [next_expiry]
+   is a lower bound on the earliest cycle at which any queued entry
+   can expire, and [step] scans the queues only once the clock
+   reaches it.  Below the watermark no queued entry has expired, so a
+   scan would pop and re-add every entry in order and leave each
+   queue as it was — skipping it changes nothing observable. *)
 
 type class_config = { cname : string; capacity : int }
 
@@ -45,6 +53,11 @@ type ('job, 'res) t = {
   mutable rr_cls : int;
   mutable steps : int;
   mutable retries : int;
+  mutable next_expiry : int;
+      (* least [q_eff_arrival + d] over queued entries with
+         [q_deadline = Some d], [max_int] when none; only [enqueue] and
+         the queued-expiry scan write it, and removals leave it a valid
+         lower bound *)
 }
 
 let create ?(classes = [ default_class ]) replica =
@@ -64,7 +77,8 @@ let create ?(classes = [ default_class ]) replica =
     queue_depth_hist = Melastic.Profile.gauge_hist profile gauge_queue_depth;
     rr_cls = 0;
     steps = 0;
-    retries = 0 }
+    retries = 0;
+    next_expiry = max_int }
 
 let classes t = t.classes
 let profile t = t.profile
@@ -88,11 +102,18 @@ let cycle_no t = t.replica.cycle_no ()
 let queue_depth t =
   Array.fold_left (fun acc q -> acc + Queue.length q) 0 t.queues
 
+let lower_next_expiry t entry =
+  match entry.q_deadline with
+  | Some d when entry.q_eff_arrival + d < t.next_expiry ->
+    t.next_expiry <- entry.q_eff_arrival + d
+  | _ -> ()
+
 let enqueue t entry =
   let q = t.queues.(entry.q_cls) in
   if Queue.length q >= t.classes.(entry.q_cls).capacity then false
   else begin
     Queue.add entry q;
+    lower_next_expiry t entry;
     true
   end
 
@@ -181,15 +202,24 @@ let pick t =
 let step t =
   let events = ref [] in
   let now = t.replica.cycle_no () in
-  (* 1. queued-deadline expiry (whole queue, not just the head: a deep
-     queue must not hide an expired entry behind fresh ones) *)
-  Array.iter
-    (fun q ->
-      for _ = 1 to Queue.length q do
-        let e = Queue.pop q in
-        if expired now e then expire t now e events else Queue.add e q
-      done)
-    t.queues;
+  (* 1. queued-deadline expiry, once the clock reaches the watermark
+     (whole queue, not just the head: a deep queue must not hide an
+     expired entry behind fresh ones).  The scan rebuilds the
+     watermark from the survivors; retries re-enter through [enqueue]. *)
+  if now >= t.next_expiry then begin
+    t.next_expiry <- max_int;
+    Array.iter
+      (fun q ->
+        for _ = 1 to Queue.length q do
+          let e = Queue.pop q in
+          if expired now e then expire t now e events
+          else begin
+            Queue.add e q;
+            lower_next_expiry t e
+          end
+        done)
+      t.queues
+  end;
   (* Arrival-instant gauge sample: the backlog as refill sees it, so a
      job that transits the queue within this very cycle (a fresh
      arrival, a retry re-admission) still registers. *)

@@ -111,11 +111,20 @@ val complete_external : ('job, 'res) t -> id:int -> bool
     completion deliberately does not interrupt). *)
 
 val step : ('job, 'res) t -> 'res event list
-(** One serving cycle: expire queued deadlines (whole-queue scan) →
-    refill free slots (round-robin across classes, FIFO within) →
-    expire running deadlines (cancel in hardware, retry or time out)
-    → sample metrics → step the replica → harvest completions.
-    Events are returned in resolution order within the cycle. *)
+(** One serving cycle: expire queued deadlines → refill free slots
+    (round-robin across classes, FIFO within) → expire running
+    deadlines (cancel in hardware, retry or time out) → sample metrics
+    → step the replica → harvest completions.  Events are returned in
+    resolution order within the cycle.
+
+    Queued expiry scans every queued entry, but only on a cycle that
+    has reached the host's watermark: the least [q_eff_arrival + d]
+    over queued entries with [q_deadline = Some d].  Every admission
+    path lowers the watermark, removals leave it a lower bound, and
+    the scan recomputes it from what stays queued.  The rule is exact:
+    below the watermark no queued entry has expired, so the scan would
+    re-add every entry in order.  A cycle with no queued deadline due
+    therefore costs nothing per waiting job. *)
 
 val outstanding : ('job, 'res) t -> int list
 (** Ids still queued or running, ascending — what a cycle-limit

@@ -20,7 +20,7 @@
 let monitored_probes = [ "msg"; "digest"; "md5_dp"; "md5_bar_in"; "md5_barrier" ]
 
 type busy = {
-  mutable blocks : int array list;  (* remaining blocks of the message *)
+  mutable blocks : Bits.t list;  (* remaining blocks of the message *)
   mutable chain : Bits.t;  (* 128-bit chaining value *)
   mutable injected : bool;  (* head block is in the loop right now *)
   mutable cancelled : bool;
@@ -28,7 +28,9 @@ type busy = {
 
 type slot_state = Free | Busy of busy
 
-let dummy_input () =
+(* Built once: [Bits.t] values are immutable, so every padding
+   injection can share it. *)
+let dummy_input =
   Md5.Md5_circuit.input_bits
     ~block:(Bits.zero Md5.Md5_circuit.block_width)
     ~iv:(Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv)
@@ -121,10 +123,8 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
          match slot.(i) with
          | Busy b when (not b.cancelled) && not b.injected ->
            b.injected <- true;
-           Md5.Md5_circuit.input_bits
-             ~block:(Md5.Md5_ref.block_to_bits (List.hd b.blocks))
-             ~iv:b.chain
-         | _ -> dummy_input ()
+           Md5.Md5_circuit.input_bits ~block:(List.hd b.blocks) ~iv:b.chain
+         | _ -> dummy_input
        in
        Hw.Sim.write_int sim msg_valid (1 lsl i);
        Hw.Sim.write sim msg_data data;
@@ -169,7 +169,8 @@ let make ?(kind = Melastic.Meb.Reduced) ?(monitor = false) ?(slots = 8) ()
          | Busy _ -> invalid_arg "Md5_backend.start: slot not free");
         slot.(i) <-
           Busy
-            { blocks = Md5.Md5_ref.padded_blocks msg;
+            { blocks =
+                List.map Md5.Md5_ref.block_to_bits (Md5.Md5_ref.padded_blocks msg);
               chain = Md5.Md5_ref.state_to_bits Md5.Md5_ref.iv;
               injected = false;
               cancelled = false });

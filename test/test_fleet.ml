@@ -377,6 +377,26 @@ let test_frontend_noc_host () =
   Alcotest.(check bool) "fabric host did real work" true
     (s_mixed.Fleet.Frontend.s_per_host.(0).Fleet.Frontend.h_admitted > 0)
 
+(* A host-side budget the serving engine would reject must not get
+   through the front-end either: with [deadline = Some 0] queued expiry
+   fires before refill on every cycle and every request times out. *)
+let test_frontend_rejects_bad_budget () =
+  let create config =
+    ignore
+      (Fleet.Frontend.create ~config ~make_host:(flat_host ~slots:1 ()) ~key:Fun.id ())
+  in
+  let c = Fleet.Frontend.default_config in
+  Alcotest.check_raises "deadline 0"
+    (Invalid_argument "Frontend.create: deadline must be >= 1") (fun () ->
+      create { c with deadline = Some 0 });
+  Alcotest.check_raises "negative deadline"
+    (Invalid_argument "Frontend.create: deadline must be >= 1") (fun () ->
+      create { c with deadline = Some (-5) });
+  Alcotest.check_raises "negative retries"
+    (Invalid_argument "Frontend.create: negative retries") (fun () ->
+      create { c with retries = -1 });
+  create { c with deadline = Some 1; retries = 0 }
+
 let suite =
   ( "fleet",
     [ Alcotest.test_case "kqueue strict at k=1" `Quick test_kqueue_strict_at_k1;
@@ -404,4 +424,6 @@ let suite =
         test_frontend_retirement;
       Alcotest.test_case "frontend sheds when swamped" `Quick
         test_frontend_sheds_when_swamped;
+      Alcotest.test_case "frontend rejects bad budget" `Quick
+        test_frontend_rejects_bad_budget;
       Alcotest.test_case "frontend noc host" `Slow test_frontend_noc_host ] )

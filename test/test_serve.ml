@@ -305,6 +305,340 @@ let test_queue_depth_gauge_counts_transients () =
   Alcotest.(check bool) "gauge saw the retried job" true
     (s.Serve.Engine.r_queue_depth_max >= 1)
 
+(* ---- Serve.Host against a scan-every-cycle reference ---- *)
+
+(* A scripted replica: a payload [p >= 1] is its own service time in
+   cycles, the result is a pure function of it, and [cancel] frees the
+   slot at once. *)
+let scripted_result p = (2 * p) + 1
+
+let scripted_replica ~slots : (int, int) Serve.Backend_intf.replica =
+  let cycle = ref 0 in
+  let busy = Array.make slots None in (* (payload, completion cycle) *)
+  let finished = ref [] in
+  { slots;
+    slot_free = (fun s -> busy.(s) = None);
+    start =
+      (fun ~slot p ->
+        if busy.(slot) <> None then invalid_arg "scripted: slot busy";
+        busy.(slot) <- Some (p, !cycle + p));
+    cancel = (fun ~slot -> busy.(slot) <- None);
+    step =
+      (fun () ->
+        incr cycle;
+        for s = 0 to slots - 1 do
+          match busy.(s) with
+          | Some (p, at) when at <= !cycle ->
+            finished := (s, scripted_result p) :: !finished;
+            busy.(s) <- None
+          | _ -> ()
+        done);
+    completions =
+      (fun () ->
+        let l = List.rev !finished in
+        finished := [];
+        l);
+    cycle_no = (fun () -> !cycle);
+    finish = ignore;
+    violations = (fun () -> 0) }
+
+(* Reference host: [Serve.Host]'s queues, slot allocator and metrics,
+   with queued expiry scanning every entry on every cycle — the rule
+   the watermark must reproduce exactly. *)
+module Ref_host = struct
+  open Serve.Host
+
+  type t = {
+    caps : int array;
+    replica : (int, int) Serve.Backend_intf.replica;
+    queues : int queued Queue.t array;
+    running : int queued option array;
+    mutable rr_cls : int;
+    mutable steps : int;
+    mutable retries : int;
+    mutable busy_sum : int;
+    mutable depth_sum : int;
+    mutable depth_max : int;
+  }
+
+  let create caps replica =
+    { caps;
+      replica;
+      queues = Array.map (fun _ -> Queue.create ()) caps;
+      running = Array.make replica.Serve.Backend_intf.slots None;
+      rr_cls = 0;
+      steps = 0;
+      retries = 0;
+      busy_sum = 0;
+      depth_sum = 0;
+      depth_max = 0 }
+
+  let queue_depth t = Array.fold_left (fun n q -> n + Queue.length q) 0 t.queues
+
+  let enqueue t e =
+    let q = t.queues.(e.q_cls) in
+    Queue.length q < t.caps.(e.q_cls) && (Queue.add e q; true)
+
+  let admit t ~cls ?deadline ~retries ~id payload =
+    enqueue t
+      { q_id = id;
+        q_cls = cls;
+        q_payload = payload;
+        q_arrival = t.replica.cycle_no ();
+        q_eff_arrival = t.replica.cycle_no ();
+        q_deadline = deadline;
+        q_retries = retries;
+        q_tries = 0 }
+
+  let steal t =
+    let deepest = ref (-1) and depth = ref 0 in
+    Array.iteri
+      (fun i q ->
+        if Queue.length q > !depth then begin
+          deepest := i;
+          depth := Queue.length q
+        end)
+      t.queues;
+    if !deepest < 0 then None
+    else begin
+      let q = t.queues.(!deepest) in
+      let kept = Queue.create () in
+      for _ = 2 to Queue.length q do Queue.add (Queue.pop q) kept done;
+      let youngest = Queue.pop q in
+      Queue.transfer kept q;
+      Some youngest
+    end
+
+  let complete_external t ~id =
+    let found = ref false in
+    Array.iter
+      (fun q ->
+        let kept = Queue.create () in
+        Queue.iter (fun e -> if e.q_id = id then found := true else Queue.add e kept) q;
+        Queue.clear q;
+        Queue.transfer kept q)
+      t.queues;
+    !found
+
+  let expired now e =
+    match e.q_deadline with Some d -> now - e.q_eff_arrival >= d | None -> false
+
+  let expire t now e events =
+    if e.q_tries < e.q_retries then begin
+      t.retries <- t.retries + 1;
+      let e = { e with q_eff_arrival = now; q_tries = e.q_tries + 1 } in
+      if not (enqueue t e) then events := Shed { id = e.q_id; at = now } :: !events
+    end
+    else events := Timed_out { id = e.q_id; tries = e.q_tries + 1 } :: !events
+
+  let pick t =
+    let nc = Array.length t.queues in
+    let rec go k =
+      if k >= nc then None
+      else
+        let ci = (t.rr_cls + k) mod nc in
+        if Queue.is_empty t.queues.(ci) then go (k + 1)
+        else begin
+          t.rr_cls <- (ci + 1) mod nc;
+          Some (Queue.pop t.queues.(ci))
+        end
+    in
+    go 0
+
+  let busy t = Array.fold_left (fun n r -> if r = None then n else n + 1) 0 t.running
+
+  let step t =
+    let events = ref [] in
+    let now = t.replica.cycle_no () in
+    Array.iter
+      (fun q ->
+        for _ = 1 to Queue.length q do
+          let e = Queue.pop q in
+          if expired now e then expire t now e events else Queue.add e q
+        done)
+      t.queues;
+    let depth_at_refill = queue_depth t in
+    Array.iteri
+      (fun s r ->
+        if r = None && t.replica.slot_free s then
+          match pick t with
+          | Some e ->
+            t.replica.start ~slot:s e.q_payload;
+            t.running.(s) <- Some e
+          | None -> ())
+      t.running;
+    Array.iteri
+      (fun s r ->
+        match r with
+        | Some e when expired now e ->
+          t.replica.cancel ~slot:s;
+          t.running.(s) <- None;
+          expire t now e events
+        | _ -> ())
+      t.running;
+    let depth = max depth_at_refill (queue_depth t) in
+    t.busy_sum <- t.busy_sum + busy t;
+    t.depth_sum <- t.depth_sum + depth;
+    t.depth_max <- max t.depth_max depth;
+    t.replica.step ();
+    t.steps <- t.steps + 1;
+    List.iter
+      (fun (s, result) ->
+        match t.running.(s) with
+        | Some e ->
+          let latency = t.replica.cycle_no () - e.q_arrival in
+          events := Completed { id = e.q_id; result; latency; slot = s } :: !events;
+          t.running.(s) <- None
+        | None -> ())
+      (t.replica.completions ());
+    List.rev !events
+
+  let outstanding t =
+    let ids = ref [] in
+    Array.iter (Queue.iter (fun e -> ids := e.q_id :: !ids)) t.queues;
+    Array.iter (function Some e -> ids := e.q_id :: !ids | None -> ()) t.running;
+    List.sort compare !ids
+
+  let metrics t =
+    { m_steps = t.steps;
+      m_busy_slot_cycles = t.busy_sum;
+      m_queue_depth_sum = t.depth_sum;
+      m_queue_depth_max = t.depth_max;
+      m_retries = t.retries }
+end
+
+type host_op =
+  | Admit of { cls : int; deadline : int option; retries : int; payload : int }
+  | Steal  (* park the stolen entry *)
+  | Readmit  (* hand the oldest parked entry back through admit_queued *)
+  | Retire of int  (* complete_external on an id admitted so far *)
+
+let show_op = function
+  | Admit { cls; deadline; retries; payload } ->
+    Printf.sprintf "admit(c%d,%s,r%d,p%d)" cls
+      (match deadline with Some d -> "d" ^ string_of_int d | None -> "-")
+      retries payload
+  | Steal -> "steal"
+  | Readmit -> "readmit"
+  | Retire k -> Printf.sprintf "retire(%d)" k
+
+(* Exactness of the queued-deadline watermark: random admissions with
+   deadlines and retry budgets, interleaved with steals, migrated
+   re-admissions (possibly already past their deadline) and external
+   completions, must produce the reference's events, queue depth and
+   outstanding set on every cycle, and its metrics at the end. *)
+let prop_host_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      int_range 2 3 >>= fun ncls ->
+      list_repeat ncls (int_range 1 8) >>= fun caps ->
+      int_range 1 4 >>= fun slots ->
+      let admit =
+        map4
+          (fun cls deadline retries payload -> Admit { cls; deadline; retries; payload })
+          (int_bound (ncls - 1))
+          (frequency [ (1, return None); (2, map Option.some (int_range 1 20)) ])
+          (int_range 0 2) (int_range 1 12)
+      in
+      let op =
+        frequency
+          [ (6, admit); (1, return Steal); (1, return Readmit);
+            (1, map (fun k -> Retire k) (int_bound 1000)) ]
+      in
+      list_size (int_range 1 80) (list_size (int_range 0 3) op) >>= fun cycles ->
+      return (caps, slots, cycles))
+  in
+  let print (caps, slots, cycles) =
+    Printf.sprintf "caps=[%s] slots=%d\n%s"
+      (String.concat ";" (List.map string_of_int caps))
+      slots
+      (String.concat "\n"
+         (List.mapi
+            (fun c ops -> Printf.sprintf "%d: %s" c (String.concat " " (List.map show_op ops)))
+            cycles))
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~count:300 ~name:"host watermark matches scan-every-cycle reference"
+       (QCheck.make ~print gen)
+       (fun (caps, slots, cycles) ->
+         let classes =
+           List.mapi (fun i capacity -> { Serve.Host.cname = string_of_int i; capacity }) caps
+         in
+         let h = Serve.Host.create ~classes (scripted_replica ~slots) in
+         let r = Ref_host.create (Array.of_list caps) (scripted_replica ~slots) in
+         let parked = Queue.create () and next_id = ref 0 in
+         let agree cycle what ok =
+           if not ok then QCheck.Test.fail_reportf "cycle %d: %s differs" cycle what
+         in
+         let apply cycle = function
+           | Admit { cls; deadline; retries; payload } ->
+             let id = !next_id in
+             incr next_id;
+             let now = Serve.Host.cycle_no h in
+             agree cycle "admit"
+               (Serve.Host.admit ~cls ?deadline ~retries h ~id ~arrival:now payload
+               = Ref_host.admit r ~cls ?deadline ~retries ~id payload)
+           | Steal ->
+             let got = Serve.Host.steal h in
+             agree cycle "steal" (got = Ref_host.steal r);
+             Option.iter (fun e -> Queue.add e parked) got
+           | Readmit ->
+             if not (Queue.is_empty parked) then begin
+               let e = Queue.pop parked in
+               agree cycle "admit_queued"
+                 (Serve.Host.admit_queued h e = Ref_host.enqueue r e)
+             end
+           | Retire k ->
+             if !next_id > 0 then begin
+               let id = k mod !next_id in
+               agree cycle "complete_external"
+                 (Serve.Host.complete_external h ~id = Ref_host.complete_external r ~id)
+             end
+         in
+         let step cycle =
+           agree cycle "events" (Serve.Host.step h = Ref_host.step r);
+           agree cycle "queue_depth" (Serve.Host.queue_depth h = Ref_host.queue_depth r);
+           agree cycle "outstanding" (Serve.Host.outstanding h = Ref_host.outstanding r)
+         in
+         List.iteri
+           (fun cycle ops ->
+             List.iter (apply cycle) ops;
+             step cycle)
+           cycles;
+         (* drain: deadlines keep firing on what is still queued *)
+         for cycle = List.length cycles to List.length cycles + 40 do
+           step cycle
+         done;
+         Serve.Host.metrics h = Ref_host.metrics r))
+
+(* The queued-expiry cost gate, checkable without a PMU: with every
+   slot busy and no deadline set, a host step allocates the same at a
+   backlog of 10 as at a backlog of 1 000.  A per-cycle scan that
+   re-adds every queued entry costs ~3 words per entry per step. *)
+let test_step_alloc_flat_in_backlog () =
+  let words_per_step backlog =
+    let classes = [ { Serve.Host.cname = "deep"; capacity = 2_000 } ] in
+    let h = Serve.Host.create ~classes (scripted_replica ~slots:4) in
+    (* four jobs that outlast the measurement pin every slot *)
+    for id = 0 to 3 do
+      ignore (Serve.Host.admit h ~id ~arrival:0 1_000_000)
+    done;
+    ignore (Serve.Host.step h);
+    for id = 4 to backlog + 3 do
+      ignore (Serve.Host.admit h ~id ~arrival:1 1)
+    done;
+    Alcotest.(check int) "slots busy" 4 (Serve.Host.busy_slots h);
+    Alcotest.(check int) "backlog" backlog (Serve.Host.queue_depth h);
+    let before = Gc.minor_words () in
+    for _ = 1 to 1_000 do
+      ignore (Serve.Host.step h)
+    done;
+    (Gc.minor_words () -. before) /. 1_000.
+  in
+  let shallow = words_per_step 10 in
+  let deep = words_per_step 1_000 in
+  Alcotest.(check (float 1.)) "minor words per step, backlog 10 vs 1000" shallow deep
+
 let suite =
   ( "serve",
     [ Alcotest.test_case "md5 refill conserves" `Quick test_md5_refill_conserves;
@@ -324,4 +658,7 @@ let suite =
       Alcotest.test_case "poisson load" `Quick test_poisson_load;
       Alcotest.test_case "latency histogram" `Quick test_latency_histogram;
       Alcotest.test_case "queue-depth gauge transients" `Quick
-        test_queue_depth_gauge_counts_transients ] )
+        test_queue_depth_gauge_counts_transients;
+      prop_host_matches_reference;
+      Alcotest.test_case "host step allocation flat in backlog" `Quick
+        test_step_alloc_flat_in_backlog ] )
